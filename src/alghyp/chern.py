@@ -14,6 +14,7 @@ doubles as a test oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .grassmann import ChowElement, Partition, RingContext, integrate, make_class, multiply
@@ -22,7 +23,8 @@ from .grassmann import ChowElement, Partition, RingContext, integrate, make_clas
 class RootPoly:
     """Integer polynomial in the two formal Chern roots.
 
-    Terms map exponent pairs (a, b) to coefficients; immutable.
+    Terms map exponent pairs (a, b) to coefficients; immutable.  Exponents
+    and coefficients must be integers (non-integers raise ValueError).
     """
 
     __slots__ = ("terms",)
@@ -30,9 +32,12 @@ class RootPoly:
     def __init__(self, terms=None):
         clean = {}
         for (a, b), c in (terms or {}).items():
-            c = int(c)
-            if c:
-                clean[(int(a), int(b))] = c
+            try:
+                c = operator.index(c)
+                if c:
+                    clean[(operator.index(a), operator.index(b))] = c
+            except TypeError:
+                raise ValueError(f"root polynomial term {(a, b)}: {c!r} is not integral") from None
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):

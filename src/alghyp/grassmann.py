@@ -1,16 +1,21 @@
 """Exact Schubert calculus in the Chow ring of the Grassmannian G(k, n).
 
-Classes are indexed by partitions inside the k x (n-k) box.  Products are
-computed by Jacobi-Trudi expansion into special classes followed by
-iterated Pieri steps; an independent Schur-polynomial oracle lives in
-`alghyp.schur`.  All coefficients are Python ints (arbitrary precision),
-all values are immutable after construction, and every operation is a
-pure function.
+Classes are indexed by partitions inside the k x (n-k) box.  Multiplying
+by a special class sigma_p (one row) or sigma_{1^p} (one column) is one
+Pieri step: a single strip kernel adds every horizontal or vertical strip
+of p boxes to each term.  A product of two other basis classes expands
+the shorter partition by the Jacobi-Trudi determinant, row by row, and
+sums the partial products that used the same set of determinant columns,
+so an l-row factor costs at most l * 2^(l-1) Pieri steps; a bounded cache
+keeps recent basis products.  An independent Schur-polynomial oracle lives
+in `alghyp.schur`.  All coefficients are Python ints (arbitrary precision);
+inputs that are not integers are rejected, not truncated.  All values are
+immutable after construction, and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +34,10 @@ class Partition:
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
             parts = parts.parts
-        parts = tuple(int(p) for p in parts)
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError:
+            raise ValueError(f"partition parts must be integers, got {parts!r}") from None
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
@@ -133,7 +141,10 @@ class ChowElement:
         clean = {}
         for lam, c in (terms or {}).items():
             lam = _as_partition(lam)
-            c = int(c)
+            try:
+                c = operator.index(c)
+            except TypeError:
+                raise ValueError(f"coefficient of {lam!r} must be an integer, got {c!r}") from None
             if c == 0:
                 continue
             if not context.fits(lam):
@@ -257,151 +268,176 @@ def make_class(ctx: RingContext, lam) -> ChowElement:
     return ChowElement(ctx, {lam: 1})
 
 
-def _horizontal_strips(lam: Partition, p: int, k: int, width: int):
-    """Partitions mu obtained from lam by adding a horizontal p-strip in the box.
+def _strips(terms, p: int, k: int, width: int, vertical: bool) -> dict:
+    """Sum over `terms` of every strip of p boxes added to each partition.
 
-    Interlacing: mu1 >= lam1 >= mu2 >= lam2 >= ..., with mu inside k x width.
+    `terms` yields (parts, coeff) with trimmed int tuples; the result maps
+    trimmed tuples mu to summed coefficients.  A horizontal strip puts at
+    most one box in each column (lam_i <= mu_i <= lam_{i-1}), a vertical
+    strip at most one in each row (mu_i <= lam_i + 1, mu weakly
+    decreasing).  mu stays inside the k x width box.  Rows are filled top
+    down; `room[i]` bounds what rows i.. can still take (exactly for
+    horizontal strips), so hardly any prefix is a dead end.
     """
-    rows = min(k, len(lam) + 1)
+    out = {}
+    for lam, c in terms:
+        rows = min(k, len(lam) + (p if vertical else 1))
+        base = lam + (0,) * (rows - len(lam))
+        room = [0] * (rows + 1)
+        for i in range(rows - 1, -1, -1):
+            if vertical:
+                room[i] = room[i + 1] + (base[i] < width)
+            else:
+                room[i] = room[i + 1] + (base[i - 1] if i else width) - base[i]
+        if room[0] < p:
+            continue
+        partial = [((), p)]
+        for i in range(rows):
+            b = base[i]
+            nxt = []
+            for prefix, left in partial:
+                if vertical:
+                    top = min(b + 1, prefix[-1] if i else width)
+                else:
+                    top = base[i - 1] if i else width
+                for m in range(max(b, b + left - room[i + 1]), min(top, b + left) + 1):
+                    rest = left - (m - b)
+                    if rest:
+                        nxt.append((prefix + (m,), rest))
+                    else:
+                        mu = prefix + (m,) + lam[i + 1:]
+                        out[mu] = out.get(mu, 0) + c
+            partial = nxt
+            if not partial:
+                break
+    return out
 
-    def rec(i, remaining, prefix):
-        if i == rows:
-            if remaining == 0:
-                yield Partition(prefix)
-            return
-        low = lam.part(i)
-        high = width if i == 0 else lam.part(i - 1)
-        high = min(high, low + remaining)
-        for mu_i in range(low, high + 1):
-            yield from rec(i + 1, remaining - (mu_i - low), prefix + (mu_i,))
 
-    yield from rec(0, p, ())
-
-
-def _vertical_strips(lam: Partition, p: int, k: int, width: int):
-    """Partitions mu obtained from lam by adding a vertical p-strip in the box.
-
-    Each row grows by at most one box; mu stays weakly decreasing.
-    """
-    rows = min(k, len(lam) + p)
-
-    def rec(i, remaining, prev, prefix):
-        if i == rows:
-            if remaining == 0:
-                yield Partition(prefix)
-            return
-        base = lam.part(i)
-        for add in (0, 1):
-            if add > remaining:
-                continue
-            mu_i = base + add
-            if mu_i > prev or mu_i > width:
-                continue
-            yield from rec(i + 1, remaining - add, mu_i, prefix + (mu_i,))
-
-    yield from rec(0, p, width, ())
+def _strip_product(ctx: RingContext, p: int, x, vertical: bool) -> ChowElement:
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    if isinstance(x, ChowElement):
+        if x.context != ctx:
+            raise ValueError("element does not belong to the given ring context")
+    else:
+        x = make_class(ctx, x)
+    if p == 0:
+        return x
+    if p > (ctx.k if vertical else ctx.width):
+        return zero(ctx)
+    terms = ((lam.parts, c) for lam, c in x.terms.items())
+    out = _strips(terms, p, ctx.k, ctx.width, vertical)
+    return ChowElement(ctx, {Partition(mu): c for mu, c in out.items()})
 
 
 def pieri(ctx: RingContext, p: int, x: ChowElement) -> ChowElement:
     """Multiply by the special class sigma_p via the horizontal-strip rule."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if isinstance(x, ChowElement):
-        if x.context != ctx:
-            raise ValueError("element does not belong to the given ring context")
-    else:
-        x = make_class(ctx, x)
-    if p == 0:
-        return x
-    if p > ctx.width:
-        return zero(ctx)
-    out = {}
-    for lam, c in x.terms.items():
-        for mu in _horizontal_strips(lam, p, ctx.k, ctx.width):
-            out[mu] = out.get(mu, 0) + c
-    return ChowElement(ctx, out)
+    return _strip_product(ctx, p, x, vertical=False)
 
 
 def pieri_vertical(ctx: RingContext, p: int, x: ChowElement) -> ChowElement:
     """Multiply by sigma_{1^p} via the vertical-strip rule."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if isinstance(x, ChowElement):
-        if x.context != ctx:
-            raise ValueError("element does not belong to the given ring context")
-    else:
-        x = make_class(ctx, x)
-    if p == 0:
-        return x
-    if p > ctx.k:
-        return zero(ctx)
-    out = {}
-    for lam, c in x.terms.items():
-        for mu in _vertical_strips(lam, p, ctx.k, ctx.width):
-            out[mu] = out.get(mu, 0) + c
-    return ChowElement(ctx, out)
+    return _strip_product(ctx, p, x, vertical=True)
 
 
-def _jacobi_trudi_terms(lam: Partition):
-    """Signed special-class factorizations of sigma_lam.
+def _completable(used: int, row: int, lo: list, hi: list) -> bool:
+    """Whether rows `row`.. can still take the columns missing from `used`.
 
-    Expands det(h_{lam_i - i + j}) over permutations; yields (sign, ps)
-    with ps the row degrees, entries < 0 dropped (those terms vanish).
+    Row r may take a column in [lo[r], hi[r]]; both bounds are
+    nondecreasing in r, so a matching exists iff the free columns, in
+    increasing order, fit the remaining rows in order.
     """
-    ell = len(lam)
-    if ell == 0:
-        yield 1, ()
-        return
-    for perm in itertools.permutations(range(ell)):
-        sign = 1
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        ps = []
-        ok = True
-        for i in range(ell):
-            p = lam.part(i) - i + perm[i]
-            if p < 0:
-                ok = False
-                break
-            if p > 0:
-                ps.append(p)
-        if ok:
-            yield sign, tuple(ps)
+    for col in range(len(lo)):
+        if not used >> col & 1:
+            if not lo[row] <= col <= hi[row]:
+                return False
+            row += 1
+    return True
 
 
-@lru_cache(maxsize=None)
-def _basis_product(ctx: RingContext, lam_parts: tuple, mu_parts: tuple):
-    """Product sigma_lam * sigma_mu as a tuple of (parts, coeff)."""
-    lam, mu = Partition(lam_parts), Partition(mu_parts)
-    # expand the shorter partition through Jacobi-Trudi
-    if len(mu) > len(lam):
-        lam, mu = mu, lam
-    acc = {}
-    for sign, ps in _jacobi_trudi_terms(mu):
-        if any(p > ctx.width for p in ps):
-            continue
-        elem = make_class(ctx, lam)
-        for p in ps:
-            elem = pieri(ctx, p, elem)
-            if elem.is_zero():
-                break
-        for nu, c in elem.terms.items():
-            acc[nu] = acc.get(nu, 0) + sign * c
-    return tuple((nu.parts, c) for nu, c in acc.items() if c != 0)
+@lru_cache(maxsize=256)
+def _basis_product(ctx: RingContext, lam_parts: tuple, mu_parts: tuple) -> ChowElement:
+    """Product sigma_lam * sigma_mu, expanding the shorter partition mu.
+
+    sigma_mu = det(h_{mu_i - i + j}) (Jacobi-Trudi) is expanded row by row.
+    After i rows, every signed partial product sigma_lam * h_.. * h_.. whose
+    rows used the same set of columns is summed into one element, keyed by
+    that set as a bitmask; the next row applies one Pieri step to each sum
+    for each column still free.
+    An l-row mu thus costs at most l * 2^(l-1) Pieri steps, not l * l!.
+    Entries h_p with p < 0 or p > width vanish, and so do column sets the
+    remaining rows cannot complete.
+    """
+    if len(mu_parts) > len(lam_parts):
+        lam_parts, mu_parts = mu_parts, lam_parts
+    ell = len(mu_parts)
+    lo = [max(0, i - mu_parts[i]) for i in range(ell)]
+    hi = [min(ell - 1, ctx.width + i - mu_parts[i]) for i in range(ell)]
+    layer = {0: make_class(ctx, lam_parts)}
+    for i in range(ell):
+        sums = {}
+        for used, elem in layer.items():
+            for j in range(lo[i], hi[i] + 1):
+                if used >> j & 1 or not _completable(used | 1 << j, i + 1, lo, hi):
+                    continue
+                # sign of the permutation: one inversion per used column right of j
+                sign = -1 if bin(used >> j).count("1") % 2 else 1
+                p = mu_parts[i] - i + j
+                step = pieri(ctx, p, elem) if p else elem
+                acc = sums.setdefault(used | 1 << j, {})
+                for nu, c in step.terms.items():
+                    acc[nu] = acc.get(nu, 0) + sign * c
+        layer = {}
+        for used, acc in sums.items():
+            elem = ChowElement(ctx, acc)
+            if not elem.is_zero():
+                layer[used] = elem
+    return layer.get((1 << ell) - 1, zero(ctx))
+
+
+def _is_special(lam: Partition) -> bool:
+    """sigma_p (one row, or the unit) or sigma_{1^p} (one column)."""
+    return len(lam) <= 1 or lam.parts[0] == 1
+
+
+def _special_product(ctx: RingContext, lam: Partition, x: ChowElement) -> ChowElement:
+    if len(lam) <= 1:
+        return pieri(ctx, lam.part(0), x)
+    return pieri_vertical(ctx, len(lam), x)
 
 
 def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
-    """Chow ring product, via Giambelli expansion and iterated Pieri."""
+    """Chow ring product.
+
+    Each single-row term sigma_p or single-column term sigma_{1^p} of y
+    multiplies the whole of x in one Pieri step, and each such term of x
+    multiplies the rest of y in one step.  The remaining pairs of basis
+    classes go through `_basis_product`: a Jacobi-Trudi expansion of the
+    shorter partition, row by row, with partial products summed by the set
+    of determinant columns they used.  Basis products are cached.
+    """
     x._check_context(y)
     ctx = x.context
     out = {}
-    for lam, cx in x.terms.items():
-        for mu, cy in y.terms.items():
-            for nu_parts, c in _basis_product(ctx, lam.parts, mu.parts):
-                nu = Partition(nu_parts)
-                out[nu] = out.get(nu, 0) + cx * cy * c
+
+    def add(elem, scale):
+        for nu, c in elem.terms.items():
+            out[nu] = out.get(nu, 0) + scale * c
+
+    rest = {}
+    for mu, cy in y.terms.items():
+        if _is_special(mu):
+            add(_special_product(ctx, mu, x), cy)
+        else:
+            rest[mu] = cy
+    if rest:
+        rest_elem = ChowElement(ctx, rest)
+        for lam, cx in x.terms.items():
+            if _is_special(lam):
+                add(_special_product(ctx, lam, rest_elem), cx)
+            else:
+                for mu, cy in rest.items():
+                    add(_basis_product(ctx, lam.parts, mu.parts), cx * cy)
     return ChowElement(ctx, out)
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from alghyp.chern import (
@@ -34,6 +36,11 @@ class TestRootPoly:
     def test_symmetry(self):
         assert RootPoly({(2, 1): 5, (1, 2): 5}).is_symmetric()
         assert not RootPoly({(2, 1): 5, (1, 2): 4}).is_symmetric()
+
+    def test_rejects_non_integers(self):
+        for terms in ({(1, 0): 2.9}, {(1, 0): Fraction(1, 2)}, {(1.5, 0): 1}):
+            with pytest.raises(ValueError):
+                RootPoly(terms)
 
     def test_schur_coefficients_reject_asymmetric(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import alghyp.grassmann as grassmann
 from alghyp.grassmann import (
     ChowElement,
     Partition,
@@ -58,6 +60,12 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([2, -1])
 
+    def test_rejects_non_integer_parts(self):
+        with pytest.raises(ValueError):
+            Partition([2.7, 1.2])
+        with pytest.raises(ValueError):
+            Partition([Fraction(3, 2)])
+
     def test_conjugate(self):
         assert Partition([3, 1]).conjugate().parts == (2, 1, 1)
         assert Partition([]).conjugate().parts == ()
@@ -98,6 +106,18 @@ class TestMakeClass:
     def test_top_class(self):
         ctx = RingContext(2, 4)
         assert make_class(ctx, Partition([2, 2])).terms == {Partition([2, 2]): 1}
+
+
+class TestChowElementInput:
+    def test_rejects_fraction_coefficient(self):
+        ctx = RingContext(2, 4)
+        with pytest.raises(ValueError):
+            ChowElement(ctx, {Partition([1]): Fraction(1, 2)})
+
+    def test_rejects_float_coefficient(self):
+        ctx = RingContext(2, 4)
+        with pytest.raises(ValueError):
+            ChowElement(ctx, {Partition([1]): 2.9})
 
 
 class TestPieri:
@@ -177,6 +197,87 @@ class TestMultiply:
             multiply(unit(RingContext(2, 4)), unit(RingContext(2, 5)))
         with pytest.raises(ValueError):
             unit(RingContext(2, 4)) + unit(RingContext(2, 5))
+
+
+def counting(monkeypatch, name):
+    """Replace grassmann.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(grassmann, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(grassmann, name, wrapper)
+    return calls
+
+
+class TestProductWork:
+    """Deterministic work counts of the product algorithm (no timing)."""
+
+    def test_many_row_pair_pieri_bound(self, monkeypatch):
+        # sigma_{nu^c} * sigma_mu with l(mu) = 9 in G(9,18): the determinant
+        # has 9! = 362880 permutation terms, but summing partial products by
+        # column set bounds the work by 9 * 2^8 Pieri steps
+        ctx = RingContext(9, 18)
+        lam = complement(ctx, Partition([4, 3, 3, 2, 2, 2, 1, 1, 1]))
+        mu = Partition([3, 3, 2, 2, 1, 1, 1, 1, 1])
+        grassmann._basis_product.cache_clear()
+        calls = counting(monkeypatch, "pieri")
+        prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
+        grassmann._basis_product.cache_clear()
+        assert 0 < len(calls) <= 9 * 2**8
+        assert prod.degrees() == {lam.size + mu.size}
+        assert all(c > 0 for c in prod.terms.values())
+
+    def test_special_factor_is_one_strip(self, monkeypatch):
+        ctx = RingContext(4, 9)
+        x = make_class(ctx, Partition([3, 2, 2])) + 2 * make_class(ctx, Partition([2, 1]))
+        for special in (Partition([3]), Partition([1, 1, 1]), Partition([1])):
+            s = make_class(ctx, special)
+            for a, b in ((x, s), (s, x)):
+                grassmann._basis_product.cache_clear()
+                strips = counting(monkeypatch, "_strips")
+                multiply(a, b)
+                monkeypatch.undo()
+                assert len(strips) == 1, (special, a, b)
+                assert grassmann._basis_product.cache_info().currsize == 0
+
+    def test_product_cache_is_bounded(self):
+        assert grassmann._basis_product.cache_info().maxsize is not None
+
+
+def many_row_pairs(rng, k, count):
+    """Seeded pairs (nu^c, mu) in G(k, 2k), mu inside nu with k rows, so the
+    product lands |nu| - |mu| degrees below the point class."""
+    ctx = RingContext(k, 2 * k)
+    pairs = []
+    while len(pairs) < count:
+        nu = sorted((rng.randint(1, 3) for _ in range(k)), reverse=True)
+        mu = sorted((rng.randint(1, p) for p in nu), reverse=True)
+        if sum(nu) - sum(mu) <= 4:
+            pairs.append((complement(ctx, Partition(nu)), Partition(mu)))
+    return ctx, pairs
+
+
+class TestTransposeSymmetry:
+    def test_many_row_pairs_match_conjugates(self):
+        # sigma_lam * sigma_mu in G(k, n) equals sigma_lam' * sigma_mu' in
+        # G(n-k, n) mapped back by conjugation; the conjugates have at most
+        # three rows, so the dual product runs a different expansion
+        rng = random.Random(1861)
+        checked = 0
+        for k in range(6, 10):
+            ctx, pairs = many_row_pairs(rng, k, 3)
+            for lam, mu in pairs:
+                dual, lam_t = transpose_dual(ctx, lam)
+                _, mu_t = transpose_dual(ctx, mu)
+                prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
+                via = multiply(make_class(dual, lam_t), make_class(dual, mu_t))
+                assert not prod.is_zero()
+                assert prod.terms == {nu.conjugate(): c for nu, c in via.terms.items()}, (k, lam, mu)
+                checked += 1
+        assert checked == 12
 
 
 class TestIntegrate:

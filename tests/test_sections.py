@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -8,6 +9,40 @@ from alghyp.sections import (
     check_projective_space,
     grid_report,
 )
+
+
+def dense_rank(columns, nrows):
+    """Rank over the rationals by Gauss-Jordan elimination (oracle)."""
+    rows = [[Fraction(col[r]) for col in columns] for r in range(nrows)]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def section_matrix(n, d):
+    """Dense columns x_j * m (j >= 1, m of degree d-1) over the degree-d
+    monomials other than x_0^d."""
+    x0_power = (d,) + (0,) * n
+    target = [m for m in MonomialSpace.build(n, d).basis if m != x0_power]
+    columns = []
+    for j in range(1, n + 1):
+        for mono in MonomialSpace.build(n, d - 1).basis:
+            prod = tuple(e + (i == j) for i, e in enumerate(mono))
+            columns.append([int(m == prod) for m in target])
+    return columns, len(target)
 
 
 class TestMonomialSpace:
@@ -53,6 +88,11 @@ class TestProjectiveSpaceCheck:
                 r = check_projective_space(n, d)
                 assert r.ok, (n, d)
                 assert r.rank == comb(n + d, d) - 1
+
+    def test_rank_matches_dense_elimination(self):
+        for n in range(1, 5):
+            for d in range(1, 7):
+                assert check_projective_space(n, d).rank == dense_rank(*section_matrix(n, d)), (n, d)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
