@@ -1,0 +1,79 @@
+"""Golden CLI transcripts: stdout, stderr and exit code, byte for byte.
+
+`tests/golden/cli.json` pins the 16 acceptance commands, one text-mode
+command for each epsilon and classification rendering path, and one
+refusal (exit 1) per command that checks a library precondition.
+Regenerating the file changes pinned behaviour; to do it on purpose, run
+`PYTHONPATH=src python -m tests.test_cli_golden` from the repository root.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from alghyp.cli import main
+from tests.test_acceptance import ACCEPTANCE_COMMANDS
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+
+EXTRA_COMMANDS = (
+    ("classify", "Gr(2,4)", "--deg", "9"),
+    ("classify", "P(2)xP(2)", "--deg", "4,9"),
+    ("classify", "P(2)xP(2)", "--deg", "1,9"),
+    ("classify", "P(2)xP(2)", "--deg", "1,9", "--json"),
+    ("certify", "P(4)", "--deg", "7"),
+    ("certify", "P(4)", "--deg", "6"),
+    ("certify", "P(4)", "--deg", "6", "--json"),
+    ("genus-bound", "P(4)", "--deg", "7"),
+    ("genus-bound", "P(2)xP(2)", "--deg", "1,9"),
+    ("genus-bound", "P(4)", "--deg", "6", "--json"),
+    ("sweep", "P(3)", "--range", "3..6"),
+)
+
+REFUSALS = (
+    ("classify", "P(3)", "--deg", "0"),
+    ("fano-class", "--d", "1", "--N", "5"),
+    ("line-count", "--n", "2"),
+    ("schubert", "dual", "--k", "2", "--n", "4", "s[3]"),
+    ("genus-bound", "P(2)", "--deg", "4,5"),
+    ("certify", "P(3)", "--deg", "4,5"),
+    ("section-dom", "--n", "0", "--d", "2"),
+    ("sweep", "P(3)", "--range", "0..2"),
+)
+
+
+ALL_COMMANDS = ACCEPTANCE_COMMANDS + EXTRA_COMMANDS + REFUSALS
+
+
+def transcript(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [tuple(e["argv"]) for e in entries] == list(ALL_COMMANDS)
+    return dict(zip(ALL_COMMANDS, entries))
+
+
+def test_refusals_exit_1(golden):
+    assert [golden[argv]["exit"] for argv in REFUSALS] == [1] * len(REFUSALS)
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=" ".join)
+def test_transcript_is_byte_identical(golden, argv):
+    got, want = transcript(argv), golden[argv]
+    assert got["exit"] == want["exit"]
+    assert got["stdout"].encode() == want["stdout"].encode()
+    assert got["stderr"].encode() == want["stderr"].encode()
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([transcript(a) for a in ALL_COMMANDS], indent=1) + "\n", encoding="utf-8")
