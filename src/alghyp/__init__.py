@@ -6,19 +6,7 @@ homogeneous varieties, and exact-rational genus-bound certificates.
 """
 
 from .chern import FanoClassReport, chern_factors, fano_class, line_count, paired_rearrangement, top_chern_sym
-from .genus import (
-    CaseBound,
-    CurveDegrees,
-    GenusBoundReport,
-    SurjectionProfile,
-    basic_bound,
-    degree_genus_relation,
-    hyperbolicity_certificate,
-    method1_certificate,
-    mukai_degree_bound,
-    scroll_case_bounds,
-    scroll_intersection_numbers,
-)
+from .genus import CaseBound, GenusBoundReport, hyperbolicity_certificate
 from .grassmann import (
     ChowElement,
     Partition,

@@ -31,7 +31,10 @@ from .varieties import (
 
 
 class CLIError(ValueError):
-    """User-input problem: bad syntax, bad flags, violated preconditions."""
+    """User-input problem caught by the CLI itself: bad syntax or bad flags.
+
+    Library preconditions raise plain `ValueError`; `main` maps both to exit 1.
+    """
 
 
 class _Scanner:
@@ -137,10 +140,6 @@ def _parse_factor(sc: _Scanner) -> VarietyDescriptor:
         return maker(*args)
     except ValueError as err:
         raise CLIError(str(err)) from err
-
-
-def render_variety(v: VarietyDescriptor) -> str:
-    return v.name
 
 
 def parse_chow(k: int, n: int, text: str) -> ChowElement:
@@ -290,27 +289,30 @@ def _cmd_threshold(args):
     )
 
 
-def _classify_payload(v, degrees):
-    c = classify(v, degrees)
-    report = genus.hyperbolicity_certificate(v, degrees)
-    return c, report
+def _verdict(v, degrees):
+    """Classification and certificate of one multidegree."""
+    return classify(v, degrees), genus.hyperbolicity_certificate(v, degrees)
+
+
+def _verdict_json(c, report) -> dict:
+    """The classification and epsilon fields shared by classify, certify and sweep."""
+    return {
+        "classification": c.to_json_dict(),
+        "epsilon": str(report.epsilon) if report.epsilon is not None else None,
+    }
 
 
 def _cmd_classify(args):
     v = parse_variety(args.variety)
     degrees = _parse_degrees(args.deg)
-    try:
-        c, report = _classify_payload(v, degrees)
-        counterexamples = known_counterexamples(v, degrees)
-    except ValueError as err:
-        raise CLIError(str(err)) from err
+    c, report = _verdict(v, degrees)
+    counterexamples = known_counterexamples(v, degrees)
     if args.json:
         return _json_text(
             {
                 "variety": v.name,
                 "degrees": list(degrees),
-                "classification": c.to_json_dict(),
-                "epsilon": str(report.epsilon) if report.epsilon is not None else None,
+                **_verdict_json(c, report),
                 "counterexamples": [e.to_json_dict() for e in counterexamples],
                 "paper_discrepancies": list(v.notes),
             }
@@ -326,10 +328,7 @@ def _cmd_classify(args):
 
 
 def _cmd_fano_class(args):
-    try:
-        report = chern.fano_class(args.d, args.N)
-    except ValueError as err:
-        raise CLIError(str(err)) from err
+    report = chern.fano_class(args.d, args.N)
     if args.json:
         return _json_text(report.to_json_dict())
     lines = [
@@ -343,10 +342,7 @@ def _cmd_fano_class(args):
 
 
 def _cmd_line_count(args):
-    try:
-        count = chern.line_count(args.n)
-    except ValueError as err:
-        raise CLIError(str(err)) from err
+    count = chern.line_count(args.n)
     if args.json:
         return _json_text(
             {"n": args.n, "d": 2 * args.n - 3, "N": args.n + 1, "count": count}
@@ -374,11 +370,8 @@ def _cmd_schubert_integrate(args):
 def _cmd_schubert_dual(args):
     ctx = RingContext(args.k, args.n)
     lam = parse_partition(args.partition)
-    try:
-        comp = complement(ctx, lam)
-        dual_ctx, conj = transpose_dual(ctx, lam)
-    except ValueError as err:
-        raise CLIError(str(err)) from err
+    comp = complement(ctx, lam)
+    dual_ctx, conj = transpose_dual(ctx, lam)
     if args.json:
         return _json_text(
             {
@@ -401,10 +394,7 @@ def _cmd_schubert_dual(args):
 def _cmd_genus_bound(args):
     v = parse_variety(args.variety)
     degrees = _parse_degrees(args.deg)
-    try:
-        report = genus.hyperbolicity_certificate(v, degrees)
-    except ValueError as err:
-        raise CLIError(str(err)) from err
+    report = genus.hyperbolicity_certificate(v, degrees)
     if args.json:
         return _json_text(report.to_json_dict())
     lines = [f"{v.name} deg={_fmt_ints(degrees)}"]
@@ -421,26 +411,22 @@ def _cmd_genus_bound(args):
 def _cmd_certify(args):
     v = parse_variety(args.variety)
     degrees = _parse_degrees(args.deg)
-    try:
-        c, report = _classify_payload(v, degrees)
-    except ValueError as err:
-        raise CLIError(str(err)) from err
+    c, report = _verdict(v, degrees)
     if args.json:
         return _json_text(
             {
                 "variety": v.name,
                 "degrees": list(degrees),
-                "classification": c.to_json_dict(),
-                "epsilon": str(report.epsilon) if report.epsilon is not None else None,
+                **_verdict_json(c, report),
                 "binding_case": report.binding.case,
             }
         )
-    if report.epsilon is not None:
-        return (
-            f"{v.name} deg={_fmt_ints(degrees)}: certified epsilon="
-            f"{report.epsilon} (case {report.binding.case}); {_classification_text(c)}"
-        )
-    return f"{v.name} deg={_fmt_ints(degrees)}: no certificate; {_classification_text(c)}"
+    verdict = (
+        f"certified epsilon={report.epsilon} (case {report.binding.case})"
+        if report.epsilon is not None
+        else "no certificate"
+    )
+    return f"{v.name} deg={_fmt_ints(degrees)}: {verdict}; {_classification_text(c)}"
 
 
 def _cmd_section_dom(args):
@@ -449,10 +435,7 @@ def _cmd_section_dom(args):
     else:
         if args.n is None or args.d is None:
             raise CLIError("section-dom needs --n and --d (or --grid)")
-        try:
-            results = [sections.check_projective_space(args.n, args.d)]
-        except ValueError as err:
-            raise CLIError(str(err)) from err
+        results = [sections.check_projective_space(args.n, args.d)]
     if args.json:
         return _json_text(
             {
@@ -469,30 +452,17 @@ def _cmd_section_dom(args):
 def _cmd_sweep(args):
     v = parse_variety(args.variety)
     lo, hi = _parse_range(args.range)
-    rows = []
-    for t in range(lo, hi + 1):
-        degrees = (t,) * v.m
-        try:
-            c, report = _classify_payload(v, degrees)
-        except ValueError as err:
-            raise CLIError(str(err)) from err
-        rows.append((t, c, report.epsilon))
+    rows = [(t, *_verdict(v, (t,) * v.m)) for t in range(lo, hi + 1)]
     if args.json:
         return _json_text(
             {
                 "variety": v.name,
-                "rows": [
-                    {
-                        "degree": t,
-                        "classification": c.to_json_dict(),
-                        "epsilon": str(eps) if eps is not None else None,
-                    }
-                    for t, c, eps in rows
-                ],
+                "rows": [{"degree": t, **_verdict_json(c, report)} for t, c, report in rows],
             }
         )
     return "\n".join(
-        f"d={t}  {_classification_text(c)}  epsilon={_eps_str(eps)}" for t, c, eps in rows
+        f"d={t}  {_classification_text(c)}  epsilon={_eps_str(report.epsilon)}"
+        for t, c, report in rows
     )
 
 
@@ -576,7 +546,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         text = args.func(args)
-    except (CLIError, ValueError) as err:  # user input or violated precondition
+    except ValueError as err:  # CLIError or a violated library precondition
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # internal invariant violation

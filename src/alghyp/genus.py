@@ -16,107 +16,6 @@ from fractions import Fraction
 from .varieties import VarietyDescriptor, check_degrees
 
 
-class CurveDegrees:
-    """Multidegree of a curve: nonnegative integers e_i = H_i . C, not all zero."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        e = tuple(int(x) for x in e)
-        if any(x < 0 for x in e):
-            raise ValueError(f"curve degrees must be nonnegative, got {e}")
-        if not any(e):
-            raise ValueError("curve degrees must not all vanish")
-        object.__setattr__(self, "e", e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveDegrees is immutable")
-
-    def __iter__(self):
-        return iter(self.e)
-
-    def __len__(self):
-        return len(self.e)
-
-    def __eq__(self, other):
-        return isinstance(other, CurveDegrees) and self.e == other.e
-
-    def __repr__(self):
-        return f"CurveDegrees({list(self.e)})"
-
-
-class SurjectionProfile:
-    """Multiplicities s_i of the line-bundle kernels mapping onto the
-    normal bundle; their sum is capped by the normal bundle rank D - 2."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s):
-        s = tuple(int(x) for x in s)
-        if any(x < 0 for x in s):
-            raise ValueError(f"profile entries must be nonnegative, got {s}")
-        object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurjectionProfile is immutable")
-
-    def validate_for(self, variety: VarietyDescriptor):
-        if len(self.s) != variety.m:
-            raise ValueError(
-                f"profile length {len(self.s)} does not match m = {variety.m}"
-            )
-        if sum(self.s) > variety.D - 2:
-            raise ValueError(
-                f"profile sum {sum(self.s)} exceeds normal bundle rank {variety.D - 2}"
-            )
-
-    def __iter__(self):
-        return iter(self.s)
-
-    def __repr__(self):
-        return f"SurjectionProfile({list(self.s)})"
-
-
-def _as_curve(e, m: int) -> CurveDegrees:
-    e = e if isinstance(e, CurveDegrees) else CurveDegrees(e)
-    if len(e) != m:
-        raise ValueError(f"curve degree length {len(e)} does not match m = {m}")
-    return e
-
-
-def degree_genus_relation(deg_normal: int, k_dot_c: int) -> int:
-    """2g - 2 of the curve from its normal bundle degree and K . C."""
-    return deg_normal + k_dot_c
-
-
-def mukai_degree_bound(variety: VarietyDescriptor, degrees, e) -> int:
-    """Semistability lower bound -sum d_i e_i on the normal bundle degree."""
-    degrees = check_degrees(variety, degrees)
-    e = _as_curve(e, variety.m)
-    return -sum(d * x for d, x in zip(degrees, e))
-
-
-def basic_bound(variety: VarietyDescriptor, degrees, e, s) -> tuple:
-    """Coefficient vector of the profile bound: c_i = a_i + d_i - s_i."""
-    degrees = check_degrees(variety, degrees)
-    _as_curve(e, variety.m)
-    s = s if isinstance(s, SurjectionProfile) else SurjectionProfile(s)
-    s.validate_for(variety)
-    return tuple(
-        Fraction(ai + di - si) for ai, di, si in zip(variety.a, degrees, s)
-    )
-
-
-def method1_certificate(variety: VarietyDescriptor, degrees) -> Fraction | None:
-    """Constant from the rank-capped profile: min_i (d_i + a_i - D + 2),
-    certifying hyperbolicity when positive."""
-    degrees = check_degrees(variety, degrees)
-    eps = min(
-        Fraction(di + ai - variety.D + 2) for di, ai in zip(degrees, variety.a)
-    )
-    return eps if eps > 0 else None
-
-
 def _case_a(variety, degrees) -> tuple:
     d, a = degrees, variety.a
     return tuple(Fraction(a[i] + d[i] - variety.D + 3) for i in range(variety.m))
@@ -133,6 +32,7 @@ def _case_b(variety, degrees, j) -> tuple:
 
 
 def _case_c(variety, degrees, j) -> tuple:
+    """Scroll case C with factor j distinguished; defined only for d_j >= 2."""
     d, a = degrees, variety.a
     return tuple(
         Fraction(a[i] + d[i] - variety.D + 2) + Fraction(1, d[j])
@@ -140,29 +40,6 @@ def _case_c(variety, degrees, j) -> tuple:
         else Fraction(a[i] + d[i]) - Fraction(d[i], d[j])
         for i in range(variety.m)
     )
-
-
-def scroll_case_bounds(variety: VarietyDescriptor, degrees, e, j: int):
-    """The three scroll-argument bounds with factor j distinguished.
-
-    Returns (A, B, C) coefficient vectors; C needs d_j >= 2 and is None
-    when d_j = 1 (no quotient-degree bound is available there).
-    """
-    degrees = check_degrees(variety, degrees)
-    _as_curve(e, variety.m)
-    if not 0 <= j < variety.m:
-        raise ValueError(f"distinguished index {j} out of range for m = {variety.m}")
-    if degrees[j] < 1:
-        raise ValueError("distinguished degree must be >= 1")
-    case_c = _case_c(variety, degrees, j) if degrees[j] >= 2 else None
-    return _case_a(variety, degrees), _case_b(variety, degrees, j), case_c
-
-
-def scroll_intersection_numbers(e, deg_q: int) -> list:
-    """Intersection numbers H_j . H_1 . S of the scroll through the curve:
-    e_1 + deg Q against the distinguished square, e_j otherwise."""
-    e = CurveDegrees(e)
-    return [e.e[0] + deg_q] + list(e.e[1:])
 
 
 _CASE_C_FLAG = (

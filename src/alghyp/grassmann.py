@@ -99,6 +99,11 @@ class RingContext:
     n: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"k and n must be integers, got k={self.k!r}, n={self.n!r}") from None
         if self.k < 1 or self.n <= self.k:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
 
@@ -241,11 +246,13 @@ class ChowElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChowElement":
-        ctx = RingContext(int(data["k"]), int(data["n"]))
+        """Inverse of `to_json_dict`; a coefficient may also be a JSON integer."""
+        ctx = RingContext(data["k"], data["n"])
         terms = {}
         for t in data["terms"]:
             lam = Partition(t["partition"])
-            terms[lam] = terms.get(lam, 0) + int(t["coeff"])
+            c = t["coeff"]
+            terms[lam] = terms.get(lam, 0) + (int(c) if isinstance(c, str) else c)
         return cls(ctx, terms)
 
     def __repr__(self):

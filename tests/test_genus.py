@@ -1,19 +1,9 @@
-import random
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from alghyp.genus import (
-    CurveDegrees,
-    SurjectionProfile,
-    basic_bound,
-    degree_genus_relation,
-    hyperbolicity_certificate,
-    method1_certificate,
-    mukai_degree_bound,
-    scroll_case_bounds,
-    scroll_intersection_numbers,
-)
+from alghyp.genus import hyperbolicity_certificate
 from alghyp.varieties import (
     grassmannian,
     hyperbolicity_threshold,
@@ -23,99 +13,82 @@ from alghyp.varieties import (
 from tests.instances import catalog_instances
 
 
-class TestCurveTypes:
-    def test_curve_degrees_invariants(self):
-        assert CurveDegrees((0, 2)).e == (0, 2)
-        with pytest.raises(ValueError):
-            CurveDegrees((0, 0))
-        with pytest.raises(ValueError):
-            CurveDegrees((-1, 2))
+def scroll_cases(v, degrees, j):
+    """(A, B, C) coefficient vectors of the certificate with factor j
+    distinguished; C is None when the certificate has no case C at j."""
+    by_key = {(c.case, c.j): c.coefficients for c in hyperbolicity_certificate(v, degrees).cases}
+    return by_key[("A", None)], by_key[("B", j)], by_key.get(("C", j))
 
-    def test_profile_invariants(self):
-        p4 = projective_space(4)
-        SurjectionProfile((2,)).validate_for(p4)
-        with pytest.raises(ValueError):
-            SurjectionProfile((3,)).validate_for(p4)  # exceeds rank D-2
-        with pytest.raises(ValueError):
-            SurjectionProfile((-1,))
-        with pytest.raises(ValueError):
-            SurjectionProfile((1, 1)).validate_for(p4)
+
+def profile_bound(v, degrees, s):
+    """Oracle: the profile bound c_i = a_i + d_i - s_i, for a surjection
+    profile s whose sum is capped by the normal bundle rank D - 2."""
+    if len(s) != v.m or min(s) < 0 or sum(s) > v.D - 2:
+        raise ValueError(f"profile {s} is not admissible on {v.name}")
+    return tuple(Fraction(ai + di - si) for ai, di, si in zip(v.a, degrees, s))
+
+
+def method1(v, degrees):
+    """Oracle: the rank-capped profile constant min_i (d_i + a_i - D + 2)."""
+    return min(Fraction(di + ai - v.D + 2) for di, ai in zip(degrees, v.a))
 
 
 class TestElementaryBounds:
-    def test_degree_genus_relation(self):
-        assert degree_genus_relation(0, 0) == 0
-        assert degree_genus_relation(3, -1) == 2
-        assert degree_genus_relation(5, -5) == 0
-
-    def test_mukai_degree_bound(self):
-        p4 = projective_space(4)
-        assert mukai_degree_bound(p4, (6,), (1,)) == -6
-        pp = product(projective_space(2), projective_space(2))
-        assert mukai_degree_bound(pp, (2, 3), (1, 1)) == -5
-        with pytest.raises(ValueError):
-            mukai_degree_bound(p4, (6,), (1, 1))
-
     def test_basic_bound(self):
         p4 = projective_space(4)
-        assert basic_bound(p4, (7,), (1,), (2,)) == (Fraction(0),)
+        assert profile_bound(p4, (7,), (2,)) == (Fraction(0),)
         g24 = grassmannian(2, 4)
-        assert basic_bound(g24, (9,), (1,), (2,)) == (Fraction(3),)
+        assert profile_bound(g24, (9,), (2,)) == (Fraction(3),)
         pp = product(projective_space(2), projective_space(2))
-        assert basic_bound(pp, (5, 6), (1, 1), (0, 0)) == (Fraction(2), Fraction(3))
+        assert profile_bound(pp, (5, 6), (0, 0)) == (Fraction(2), Fraction(3))
         with pytest.raises(ValueError):
-            basic_bound(p4, (7,), (1,), (5,))
-
-    def test_mukai_composed_with_adjunction_matches_profile_bound(self):
-        # the full-strength bound equals the profile bound at s = d
-        rng = random.Random(11)
-        for _ in range(200):
-            m = rng.randint(1, 3)
-            a = tuple(-rng.randint(2, 6) for _ in range(m))
-            d_dim = rng.randint(max(4, 1), 9)
-            try:
-                from alghyp.varieties import VarietyDescriptor
-
-                v = VarietyDescriptor(name="T", m=m, D=d_dim, a=a)
-            except ValueError:
-                continue
-            d = tuple(rng.randint(1, 9) for _ in range(m))
-            e = tuple(rng.randint(0, 5) for _ in range(m))
-            if not any(e):
-                continue
-            k_dot_c = sum((ai + di) * ei for ai, di, ei in zip(a, d, e))
-            lhs = degree_genus_relation(mukai_degree_bound(v, d, e), k_dot_c)
-            rhs = sum((ai + di - di) * ei for ai, di, ei in zip(a, d, e))
-            assert lhs == rhs
+            profile_bound(p4, (7,), (5,))  # exceeds rank D-2
 
 
 class TestMethodOne:
     def test_projective_space(self):
         for n in range(4, 9):
             pn = projective_space(n)
-            assert method1_certificate(pn, (2 * n,)) == 1
-            assert method1_certificate(pn, (2 * n - 1,)) is None
+            assert method1(pn, (2 * n,)) == 1
+            assert hyperbolicity_certificate(pn, (2 * n,)).epsilon >= 1
+            assert method1(pn, (2 * n - 1,)) == 0
 
     def test_grassmannian(self):
-        assert method1_certificate(grassmannian(2, 4), (10,)) == 4
+        g24 = grassmannian(2, 4)
+        assert method1(g24, (10,)) == 4
+        assert hyperbolicity_certificate(g24, (10,)).epsilon >= 4
+
+    def test_certificate_dominates_method_one_on_grid(self):
+        checked = 0
+        for v in catalog_instances():
+            t = hyperbolicity_threshold(v)
+            for offsets in itertools.product(range(-2, 12, 3), repeat=v.m):
+                d = tuple(max(1, ti + o) for ti, o in zip(t, offsets))
+                eps1 = method1(v, d)
+                if eps1 <= 0:
+                    continue
+                eps = hyperbolicity_certificate(v, d).epsilon
+                assert eps is not None and eps >= eps1, (v.name, d)
+                checked += 1
+        assert checked > 1000
 
 
 class TestScrollCases:
     def test_quartic_fourfold_vectors(self):
         p4 = projective_space(4)
-        a, b, c = scroll_case_bounds(p4, (7,), (1,), 0)
+        a, b, c = scroll_cases(p4, (7,), 0)
         assert a == (Fraction(1),)
         assert b == (Fraction(1, 2),)
         assert c == (Fraction(1, 7),)
 
     def test_single_factor_reduction(self):
         g = grassmannian(2, 5)
-        a, b, c = scroll_case_bounds(g, (9,), (2,), 0)
+        a, b, c = scroll_cases(g, (9,), 0)
         assert len(a) == len(b) == len(c) == 1
 
     def test_product_denominators(self):
         v = product(grassmannian(2, 4), projective_space(2))
-        a, b, c = scroll_case_bounds(v, (9, 9), (1, 1), 0)
+        a, b, c = scroll_cases(v, (9, 9), 0)
         d1 = 9
         for vec in (a, b, c):
             for entry in vec:
@@ -123,22 +96,19 @@ class TestScrollCases:
 
     def test_case_c_absent_for_degree_one(self):
         v = product(projective_space(2), projective_space(2))
-        a, b, c = scroll_case_bounds(v, (1, 9), (1, 1), 0)
+        a, b, c = scroll_cases(v, (1, 9), 0)
         assert c is None
-        a, b, c = scroll_case_bounds(v, (1, 9), (1, 1), 1)
+        a, b, c = scroll_cases(v, (1, 9), 1)
         assert c is not None
+        cases = hyperbolicity_certificate(v, (1, 9)).cases
+        assert [(cb.case, cb.j) for cb in cases] == [("A", None), ("B", 0), ("B", 1), ("C", 1)]
 
     def test_index_validation(self):
         p4 = projective_space(4)
         with pytest.raises(ValueError):
-            scroll_case_bounds(p4, (7,), (1,), 1)
+            hyperbolicity_certificate(p4, (7, 7))
         with pytest.raises(ValueError):
-            scroll_case_bounds(p4, (0,), (1,), 0)
-
-    def test_intersection_numbers(self):
-        assert scroll_intersection_numbers((3, 2), -1) == [2, 2]
-        assert scroll_intersection_numbers((3, 2), 0) == [3, 2]
-        assert scroll_intersection_numbers((1,), 5) == [6]
+            hyperbolicity_certificate(p4, (0,))
 
 
 class TestCertificate:
@@ -194,8 +164,7 @@ class TestThresholdCertificateSweep:
             for j in range(v.m):
                 s = [0] * v.m
                 s[j] = v.D - 2
-                e = [1] * v.m
-                profile_vec = basic_bound(v, d, e, s)
-                _, _, case_c = scroll_case_bounds(v, d, e, j)
+                profile_vec = profile_bound(v, d, s)
+                _, _, case_c = scroll_cases(v, d, j)
                 assert case_c is not None
                 assert min(profile_vec) <= min(case_c), (v.name, j)

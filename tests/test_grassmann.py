@@ -84,6 +84,12 @@ class TestRingContext:
             RingContext(0, 3)
         with pytest.raises(ValueError):
             RingContext(3, 3)
+        with pytest.raises(ValueError):
+            RingContext(2.5, 5)
+        with pytest.raises(ValueError):
+            RingContext(2, 5.0)
+        with pytest.raises(ValueError):
+            RingContext(Fraction(2), 5)
 
     def test_box_data(self):
         ctx = RingContext(2, 5)
@@ -118,6 +124,19 @@ class TestChowElementInput:
         ctx = RingContext(2, 4)
         with pytest.raises(ValueError):
             ChowElement(ctx, {Partition([1]): 2.9})
+
+    def test_from_json_rejects_float_fields(self):
+        term = {"partition": [1], "coeff": "3"}
+        with pytest.raises(ValueError):
+            ChowElement.from_json_dict({"k": 2.9, "n": 4.2, "terms": [term]})
+        with pytest.raises(ValueError):
+            ChowElement.from_json_dict({"k": 2, "n": 4, "terms": [{"partition": [1], "coeff": 2.9}]})
+        with pytest.raises(ValueError):
+            ChowElement.from_json_dict({"k": 2, "n": 4, "terms": [{"partition": [1], "coeff": "2.9"}]})
+
+    def test_from_json_accepts_decimal_strings_and_integers(self):
+        data = {"k": 2, "n": 4, "terms": [{"partition": [1], "coeff": "-12"}, {"partition": [1], "coeff": 5}]}
+        assert ChowElement.from_json_dict(data) == ChowElement(RingContext(2, 4), {Partition([1]): -7})
 
 
 class TestPieri:
