@@ -5,7 +5,7 @@ the dual tautological bundle, degree thresholds for hypersurfaces in
 homogeneous varieties, and exact-rational genus-bound certificates.
 """
 
-from .chern import FanoClassReport, chern_factors, fano_class, line_count, paired_rearrangement, top_chern_sym
+from .chern import FanoClassReport, fano_class, line_count, paired_rearrangement, top_chern_sym
 from .genus import CaseBound, GenusBoundReport, hyperbolicity_certificate
 from .grassmann import (
     ChowElement,
@@ -23,7 +23,7 @@ from .grassmann import (
     zero,
 )
 from .schur import schur_oracle_multiply
-from .sections import MonomialSpace, SectionDominationResult, check_product, check_projective_space
+from .sections import SectionDominationResult, check_projective_space
 from .varieties import (
     Classification,
     VarietyDescriptor,

@@ -1,150 +1,49 @@
 """Splitting-principle Chern class computations on the Grassmannian of lines.
 
-Works with integer polynomials in the two formal Chern roots of the dual
-tautological bundle on G(2, N).  The top Chern class of the d-th symmetric
-power is the class of the scheme of lines on a degree-d hypersurface; its
-Schubert expansion, the positivity certificate for that expansion, and the
-classical finite line counts all live here.
+The top Chern class of the d-th symmetric power of the dual tautological
+bundle on G(2, N) is the class of the scheme of lines on a degree-d
+hypersurface.  In the two formal Chern roots alpha, beta it is the binary
+form prod_(i=0..d) (i*alpha + (d-i)*beta), held here as its list of d+2
+integer coefficients.  Its Schubert expansion, the positivity certificate
+for that expansion, and the classical finite line counts all live here.
 
-Conversion to the Schubert basis uses the bialternant quotient (multiply
-by the root difference, then divide exactly), which is an algorithm
-independent of the Pieri/Giambelli route in `alghyp.grassmann` and
-doubles as a test oracle.
+Conversion to the Schubert basis reads the bialternant quotient off the
+coefficient list, an algorithm independent of the Pieri/Giambelli route
+in `alghyp.grassmann`; `paired_rearrangement` is the cross-check.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .grassmann import ChowElement, Partition, RingContext, integrate, make_class, multiply
 
 
-class RootPoly:
-    """Integer polynomial in the two formal Chern roots.
-
-    Terms map exponent pairs (a, b) to coefficients; immutable.  Exponents
-    and coefficients must be integers (non-integers raise ValueError).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for (a, b), c in (terms or {}).items():
-            try:
-                c = operator.index(c)
-                if c:
-                    clean[(operator.index(a), operator.index(b))] = c
-            except TypeError:
-                raise ValueError(f"root polynomial term {(a, b)}: {c!r} is not integral") from None
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootPoly is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, RootPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return RootPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RootPoly({e: other * c for e, c in self.terms.items()})
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return RootPoly(out)
-
-    __rmul__ = __mul__
-
-    def is_symmetric(self) -> bool:
-        return all(self.terms.get((b, a), 0) == c for (a, b), c in self.terms.items())
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(a + b == degree for a, b in self.terms)
-
-    def __repr__(self):
-        body = " + ".join(
-            f"{c}*a^{a}b^{b}" for (a, b), c in sorted(self.terms.items())
-        )
-        return f"RootPoly({body or '0'})"
-
-
-ONE = RootPoly({(0, 0): 1})
-
-
-def schur_coefficients(poly: RootPoly) -> dict:
-    """Schur-basis coefficients of a symmetric root polynomial.
-
-    Multiplies by (alpha - beta) and matches the resulting alternant
-    against the bialternant numerators; asserts the division is exact.
-    """
-    if not poly.is_symmetric():
-        raise ValueError("root polynomial is not symmetric")
-    alternant = poly * RootPoly({(1, 0): 1, (0, 1): -1})
-    out = {}
-    for (a, b), c in alternant.terms.items():
-        if a == b:
-            raise AssertionError("alternant has a diagonal term")
-        if a > b:
-            out[(a - 1, b)] = c
-    # exact-division assertion: the pairs rebuild the alternant
-    rebuilt = {}
-    for (x, y), c in out.items():
-        rebuilt[(x + 1, y)] = rebuilt.get((x + 1, y), 0) + c
-        rebuilt[(y, x + 1)] = rebuilt.get((y, x + 1), 0) - c
-    if RootPoly(rebuilt) != alternant:
-        raise AssertionError("inexact bialternant division")
-    return out
-
-
-def to_chow(poly: RootPoly, N: int) -> ChowElement:
-    """Schubert expansion of a symmetric root polynomial in G(2, N)."""
-    ctx = RingContext(2, N)
-    terms = {}
-    for (a, b), c in schur_coefficients(poly).items():
-        if a <= ctx.width:
-            terms[Partition((a, b))] = c
-    return ChowElement(ctx, terms)
-
-
-def chern_factors(d: int) -> list:
-    """The d+1 linear factors 1 + i*alpha + (d-i)*beta of the total Chern
-    class of the d-th symmetric power of the dual tautological bundle."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return [RootPoly({(0, 0): 1, (1, 0): i, (0, 1): d - i}) for i in range(d + 1)]
-
-
 def top_chern_sym(d: int, N: int) -> ChowElement:
     """Top Chern class of the d-th symmetric power on G(2, N).
 
-    Expands the product of the root-linear factors i*alpha + (d-i)*beta,
-    i = 0..d, and converts to the Schubert basis; homogeneous of degree
-    d+1 (box truncation may drop wide classes).
+    Expands prod_(i=0..d) (i*alpha + (d-i)*beta) as the coefficient list
+    c, with c[j] the coefficient of alpha^j beta^(d+1-j).  A symmetric
+    binary form of degree d+1 is sum_a s[a, d+1-a] times the complete
+    form from alpha^(d+1-a) to alpha^a, so s[a, d+1-a] has coefficient
+    c[a] - c[a+1] for a >= (d+1)/2.  Classes wider than the box
+    (a > N-2) are dropped.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if N < 4:
         raise ValueError("N must be >= 4")
-    prod = ONE
+    c = [1]
     for i in range(d + 1):
-        prod = prod * RootPoly({(1, 0): i, (0, 1): d - i})
-    if not prod.is_symmetric():
+        c = [(d - i) * x + i * y for x, y in zip(c + [0], [0] + c)]
+    if c != c[::-1]:
         raise AssertionError("top Chern product is not symmetric")
-    if not prod.is_homogeneous(d + 1):
-        raise AssertionError("top Chern product is not homogeneous")
-    return to_chow(prod, N)
+    c.append(0)  # c[d+2] = 0, so the single-row class s[d+1] gets c[d+1]
+    terms = {
+        Partition((a, d + 1 - a)): c[a] - c[a + 1]
+        for a in range((d + 2) // 2, min(d + 1, N - 2) + 1)
+    }
+    return ChowElement(RingContext(2, N), terms)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import chern, genus, sections
@@ -18,6 +19,7 @@ from .grassmann import ChowElement, Partition, RingContext, complement, integrat
 from .varieties import (
     VarietyDescriptor,
     classify,
+    fano_lines_dimension,
     flag,
     grassmannian,
     hyperbolicity_threshold,
@@ -35,6 +37,21 @@ class CLIError(ValueError):
 
     Library preconditions raise plain `ValueError`; `main` maps both to exit 1.
     """
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """The CLI's one integer reader: ASCII digits with an optional leading
+    '-', and nothing else (no padding, underscores, '+' or other digits).
+
+    Also the argparse type of the integer flags, which name it in their
+    messages ("invalid integer value").
+    """
+    if _INTEGER.fullmatch(text) is None:
+        raise CLIError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 class _Scanner:
@@ -62,18 +79,17 @@ class _Scanner:
             )
         self.pos += 1
 
-    def read_int(self, signed=False):
+    def read_int(self):
         self.skip_ws()
         start = self.pos
-        if signed and self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
+        # the run may hold non-ASCII digits, which `integer` refuses
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
+        if self.pos == start:
             raise CLIError(
                 f"expected integer at position {start} in {self.text!r}"
             )
-        return int(self.text[start:self.pos])
+        return integer(self.text[start:self.pos])
 
     def read_name(self):
         self.skip_ws()
@@ -212,8 +228,8 @@ def parse_partition(text: str) -> Partition:
 
 def _parse_degrees(raw: str):
     try:
-        return tuple(int(p) for p in raw.split(","))
-    except ValueError as err:
+        return tuple(integer(p) for p in raw.split(","))
+    except CLIError as err:
         raise CLIError(f"bad degree list {raw!r}: expected d1,d2,...") from err
 
 
@@ -222,8 +238,8 @@ def _parse_range(raw: str):
     if not sep:
         raise CLIError(f"bad range {raw!r}: expected lo..hi")
     try:
-        lo, hi = int(lo), int(hi)
-    except ValueError as err:
+        lo, hi = integer(lo), integer(hi)
+    except CLIError as err:
         raise CLIError(f"bad range {raw!r}: expected lo..hi") from err
     if hi < lo:
         raise CLIError(f"bad range {raw!r}: empty")
@@ -262,7 +278,7 @@ def _cmd_info(args):
         f"canonical coefficients: {_fmt_ints(v.a)}",
         f"hyperbolicity threshold: {_fmt_ints(hyperbolicity_threshold(v))}",
         f"lines threshold: {_fmt_ints(lines_threshold(v))}",
-        f"line-space dimensions: {_fmt_ints(v.D - ai - 3 for ai in v.a)}",
+        f"line-space dimensions: {_fmt_ints(fano_lines_dimension(v, i) for i in range(v.m))}",
     ]
     for note in v.notes:
         lines.append(f"note: {note}")
@@ -497,11 +513,11 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--deg", required=True, help="d1,d2,...")
 
     p = add("fano-class", _cmd_fano_class, "expansion of the line-scheme class")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--d", type=integer, required=True)
+    p.add_argument("--N", type=integer, required=True)
 
     p = add("line-count", _cmd_line_count, "finite line count on a hypersurface")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
 
     ps = sub.add_parser("schubert", help="Schubert calculus in G(k,n)")
     ssub = ps.add_subparsers(dest="subcommand", required=True)
@@ -509,8 +525,8 @@ def _build_parser() -> _ArgumentParser:
     def add_schubert(name, func):
         q = ssub.add_parser(name)
         q.set_defaults(func=func)
-        q.add_argument("--k", type=int, required=True)
-        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--k", type=integer, required=True)
+        q.add_argument("--n", type=integer, required=True)
         q.add_argument("--json", action="store_true")
         q.add_argument("--out")
         return q
@@ -531,8 +547,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--deg", required=True)
 
     p = add("section-dom", _cmd_section_dom, "section-domination rank checks")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=integer)
+    p.add_argument("--d", type=integer)
     p.add_argument("--grid", action="store_true", help="run the full desk-scale grid")
 
     p = add("sweep", _cmd_sweep, "classification and epsilon over a degree range")

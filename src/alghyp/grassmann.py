@@ -16,8 +16,11 @@ immutable after construction, and every operation is a pure function.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+
+_DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient pattern of CHOW_ELEMENT_SCHEMA
 
 
 class Partition:
@@ -252,7 +255,11 @@ class ChowElement:
         for t in data["terms"]:
             lam = Partition(t["partition"])
             c = t["coeff"]
-            terms[lam] = terms.get(lam, 0) + (int(c) if isinstance(c, str) else c)
+            if isinstance(c, str):
+                if _DECIMAL.fullmatch(c) is None:
+                    raise ValueError(f"coefficient of {lam!r} must match -?[0-9]+, got {c!r}")
+                c = int(c)
+            terms[lam] = terms.get(lam, 0) + c
         return cls(ctx, terms)
 
     def __repr__(self):

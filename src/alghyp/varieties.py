@@ -14,6 +14,7 @@ a discrepancy note that is surfaced in every JSON report.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -130,7 +131,7 @@ def flag(ks, n: int) -> VarietyDescriptor:
     With k_0 = 0 and k_(m+1) = n: a_i = -(k_(i+1) - k_(i-1)) and
     D = sum k_i (k_(i+1) - k_i).
     """
-    ks = tuple(int(k) for k in ks)
+    ks = _integers(ks, "Fl: subspace dimensions")
     if not ks:
         raise ValueError("Fl: need at least one subspace dimension")
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)) or ks[0] < 1 or ks[-1] >= n:
@@ -172,8 +173,17 @@ def product(*varieties: VarietyDescriptor) -> VarietyDescriptor:
     )
 
 
+def _integers(values, what: str) -> tuple:
+    """`values` as a tuple of ints; a float, Fraction or string raises ValueError."""
+    values = tuple(values)
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 def check_degrees(variety: VarietyDescriptor, degrees) -> tuple:
-    degrees = tuple(int(d) for d in degrees)
+    degrees = _integers(degrees, "degrees")
     if len(degrees) != variety.m:
         raise ValueError(
             f"{variety.name} has {variety.m} degree slots, got {len(degrees)}"
@@ -263,9 +273,7 @@ class Counterexample:
 
 
 def _at_open_boundary(variety: VarietyDescriptor, degrees) -> bool:
-    return any(
-        d == variety.D - ai - 3 for d, ai in zip(degrees, variety.a)
-    )
+    return any(d == fano_lines_dimension(variety, i) for i, d in enumerate(degrees))
 
 
 _COUNTEREXAMPLE_TABLE = (

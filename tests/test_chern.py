@@ -1,17 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from alghyp.chern import (
-    RootPoly,
-    chern_factors,
-    fano_class,
-    line_count,
-    paired_rearrangement,
-    schur_coefficients,
-    to_chow,
-    top_chern_sym,
-)
+from alghyp.chern import fano_class, line_count, paired_rearrangement, top_chern_sym
 from alghyp.grassmann import Partition, RingContext, make_class, multiply, unit
 
 # golden values computed with the standalone monomial-expansion oracle
@@ -26,50 +15,19 @@ TOP_CHERN_GOLDEN = {
 }
 
 
-class TestRootPoly:
-    def test_arithmetic(self):
-        a = RootPoly({(1, 0): 1})
-        b = RootPoly({(0, 1): 1})
-        assert (a + b) * (a + b) == RootPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1})
-        assert 3 * a == RootPoly({(1, 0): 3})
-
-    def test_symmetry(self):
-        assert RootPoly({(2, 1): 5, (1, 2): 5}).is_symmetric()
-        assert not RootPoly({(2, 1): 5, (1, 2): 4}).is_symmetric()
-
-    def test_rejects_non_integers(self):
-        for terms in ({(1, 0): 2.9}, {(1, 0): Fraction(1, 2)}, {(1.5, 0): 1}):
-            with pytest.raises(ValueError):
-                RootPoly(terms)
-
-    def test_schur_coefficients_reject_asymmetric(self):
-        with pytest.raises(ValueError):
-            schur_coefficients(RootPoly({(2, 0): 1}))
-
-    def test_schur_coefficients_known(self):
-        # a^3 b + a^2 b^2 + a b^3 = s_(3,1)
-        poly = RootPoly({(3, 1): 1, (2, 2): 1, (1, 3): 1})
-        assert schur_coefficients(poly) == {(3, 1): 1}
-
-    def test_to_chow_truncates(self):
-        poly = RootPoly({(3, 1): 1, (2, 2): 1, (1, 3): 1})
-        assert to_chow(poly, 4).is_zero()
-        assert to_chow(poly, 5).terms == {Partition([3, 1]): 1}
-
-
-class TestChernFactors:
-    def test_counts_and_roots(self):
-        for d in (1, 2, 3, 7):
-            factors = chern_factors(d)
-            assert len(factors) == d + 1
-            for i, f in enumerate(factors):
-                assert f.terms.get((0, 0)) == 1
-                assert f.terms.get((1, 0), 0) == i
-                assert f.terms.get((0, 1), 0) == d - i
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            chern_factors(0)
+def paired_product(d, N):
+    """prod_(i < (d+1)/2) [i(d-i) s1^2 + (d-2i)^2 s11], times (d/2) s1 for even d,
+    in the Chow ring of G(2, N): factor i of the root product times factor d-i
+    is i(d-i)(alpha+beta)^2 + (d-2i)^2 alpha*beta."""
+    ctx = RingContext(2, N)
+    s1 = make_class(ctx, Partition([1]))
+    s11 = make_class(ctx, Partition([1, 1]))
+    acc = unit(ctx)
+    for i in range((d + 1) // 2):
+        acc = multiply(acc, (i * (d - i)) * multiply(s1, s1) + ((d - 2 * i) ** 2) * s11)
+    if d % 2 == 0:
+        acc = multiply(acc, (d // 2) * s1)
+    return acc
 
 
 class TestTopChern:
@@ -77,6 +35,18 @@ class TestTopChern:
         for d, want in TOP_CHERN_GOLDEN.items():
             x = top_chern_sym(d, d + 3)
             assert x.terms == {Partition(p): c for p, c in want.items()}
+
+    def test_matches_paired_product_in_the_ring(self):
+        # boxes narrower than d+3 drop the wide classes, as the ring quotient does
+        for d in range(2, 41):
+            for N in sorted({(d + 2) // 2 + 2, d + 2, d + 3, d + 4, d + 5, d + 6}):
+                assert top_chern_sym(d, N) == paired_product(d, N), (d, N)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            top_chern_sym(0, 5)
+        with pytest.raises(ValueError):
+            top_chern_sym(2, 3)
 
     def test_degree_one_is_point_of_s_dual(self):
         assert top_chern_sym(1, 4).terms == {Partition([1, 1]): 1}

@@ -149,6 +149,36 @@ class TestCommands:
         assert code == 1
 
 
+class TestStrictIntegers:
+    """Integers are ASCII -?[0-9]+ only: no padding, underscores, '+' or other digits."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("info", "P(\u0663)"),  # Arabic-Indic three
+            ("info", "P(\u00b2)"),  # superscript two
+            ("schubert", "mul", "--k", "2", "--n", "4", "\u0663*s[1]"),
+            ("classify", "P(4)", "--deg", "1_0"),
+            ("classify", "P(4)", "--deg", " 7"),
+            ("certify", "P(4)", "--deg", "+7"),
+            ("sweep", "P(4)", "--range", " 5.. 0_6"),
+            ("line-count", "--n", " 3"),
+            ("line-count", "--n", "1_0"),
+            ("fano-class", "--d", "4", "--N", "\u0667"),
+            ("schubert", "mul", "--k", "+2", "--n", "4", "s[1]"),
+            ("section-dom", "--n", "2", "--d", "2.0"),
+        ],
+    )
+    def test_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    def test_negative_degree_reaches_library_check(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "P(4)", "--deg", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: degrees must be >= 1, got (-1,)\n"
+
+
 JSON_COMMANDS = [
     (("info", "Gr(2,5)"), schemas.DESCRIPTOR_SCHEMA),
     (("info", "SG(2,6)"), schemas.DESCRIPTOR_SCHEMA),

@@ -134,6 +134,11 @@ class TestChowElementInput:
         with pytest.raises(ValueError):
             ChowElement.from_json_dict({"k": 2, "n": 4, "terms": [{"partition": [1], "coeff": "2.9"}]})
 
+    def test_from_json_rejects_non_decimal_strings(self):
+        for coeff in (" 1_0 ", "1_0", " 3", "+3", "\u0663", "", "-"):
+            with pytest.raises(ValueError, match="must match"):
+                ChowElement.from_json_dict({"k": 2, "n": 4, "terms": [{"partition": [1], "coeff": coeff}]})
+
     def test_from_json_accepts_decimal_strings_and_integers(self):
         data = {"k": 2, "n": 4, "terms": [{"partition": [1], "coeff": "-12"}, {"partition": [1], "coeff": 5}]}
         assert ChowElement.from_json_dict(data) == ChowElement(RingContext(2, 4), {Partition([1]): -7})

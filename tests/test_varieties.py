@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from alghyp.genus import hyperbolicity_certificate
 from alghyp.varieties import (
     CONTAINS_LINES,
     HYPERBOLIC,
@@ -76,6 +79,11 @@ class TestConstructors:
             flag((2, 2), 5)
         with pytest.raises(ValueError):
             flag((1, 5), 5)
+
+    def test_flag_rejects_non_integers(self):
+        for ks in ((1.7, 2.2), (1, Fraction(5, 2)), ("1", 2)):
+            with pytest.raises(ValueError, match="must be integers"):
+                flag(ks, 4)
 
     def test_flag_dimension_oracle(self):
         import itertools
@@ -207,6 +215,16 @@ class TestClassify:
             classify(projective_space(4), (5, 5))
         with pytest.raises(ValueError):
             classify(projective_space(4), (0,))
+
+    def test_rejects_non_integer_degrees(self):
+        v = projective_space(4)
+        for degrees in ((6.9,), (7.0,), (Fraction(15, 2),)):
+            with pytest.raises(ValueError, match="must be integers"):
+                classify(v, degrees)
+            with pytest.raises(ValueError, match="must be integers"):
+                hyperbolicity_certificate(v, degrees)
+            with pytest.raises(ValueError, match="must be integers"):
+                known_counterexamples(v, degrees)
 
 
 class TestCounterexamples:
