@@ -12,17 +12,13 @@ from .grassmann import (
     Partition,
     RingContext,
     complement,
-    dual_class_vanishes,
     integrate,
     make_class,
     multiply,
-    pieri,
-    pieri_vertical,
     transpose_dual,
     unit,
     zero,
 )
-from .schur import schur_oracle_multiply
 from .sections import SectionDominationResult, check_projective_space
 from .varieties import (
     Classification,

@@ -8,8 +8,9 @@ integer coefficients.  Its Schubert expansion, the positivity certificate
 for that expansion, and the classical finite line counts all live here.
 
 Conversion to the Schubert basis reads the bialternant quotient off the
-coefficient list, an algorithm independent of the Pieri/Giambelli route
-in `alghyp.grassmann`; `paired_rearrangement` is the cross-check.
+coefficient list, an algorithm independent of the Littlewood-Richardson
+products in `alghyp.grassmann`; `paired_rearrangement`, which multiplies
+in the ring, is the cross-check.
 """
 
 from __future__ import annotations

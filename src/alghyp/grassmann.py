@@ -1,16 +1,16 @@
 """Exact Schubert calculus in the Chow ring of the Grassmannian G(k, n).
 
-Classes are indexed by partitions inside the k x (n-k) box.  Multiplying
-by a special class sigma_p (one row) or sigma_{1^p} (one column) is one
-Pieri step: a single strip kernel adds every horizontal or vertical strip
-of p boxes to each term.  A product of two other basis classes expands
-the shorter partition by the Jacobi-Trudi determinant, row by row, and
-sums the partial products that used the same set of determinant columns,
-so an l-row factor costs at most l * 2^(l-1) Pieri steps; a bounded cache
-keeps recent basis products.  An independent Schur-polynomial oracle lives
-in `alghyp.schur`.  All coefficients are Python ints (arbitrary precision);
-inputs that are not integers are rejected, not truncated.  All values are
-immutable after construction, and every operation is a pure function.
+Classes are indexed by partitions inside the k x (n-k) box.  Every
+product goes through one Littlewood-Richardson kernel: each row of the
+content factor is added as a horizontal strip of one letter, kept only
+while the reverse reading word is a lattice word, and partial fillings
+with the same shape and the same row counts of the last letter are
+merged.  A single-column content term 1^p, sigma_1 included, is one
+vertical strip.  There are no signs, no cancellation and no cache.  An
+independent Schur-polynomial oracle lives in the tests.  All
+coefficients are Python ints (arbitrary precision); inputs that are not
+integers are rejected, not truncated.  All values are immutable after
+construction, and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 _DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient pattern of CHOW_ELEMENT_SCHEMA
 
@@ -282,27 +281,23 @@ def make_class(ctx: RingContext, lam) -> ChowElement:
     return ChowElement(ctx, {lam: 1})
 
 
-def _strips(terms, p: int, k: int, width: int, vertical: bool) -> dict:
-    """Sum over `terms` of every strip of p boxes added to each partition.
+def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
+    """Sum over `terms` of every vertical strip of p boxes added to each partition.
 
     `terms` yields (parts, coeff) with trimmed int tuples; the result maps
-    trimmed tuples mu to summed coefficients.  A horizontal strip puts at
-    most one box in each column (lam_i <= mu_i <= lam_{i-1}), a vertical
-    strip at most one in each row (mu_i <= lam_i + 1, mu weakly
-    decreasing).  mu stays inside the k x width box.  Rows are filled top
-    down; `room[i]` bounds what rows i.. can still take (exactly for
-    horizontal strips), so hardly any prefix is a dead end.
+    trimmed tuples mu to summed coefficients.  A vertical strip puts at
+    most one box in each row (mu_i <= lam_i + 1, mu weakly decreasing), and
+    mu stays inside the k x width box.  Rows are filled top down; `room[i]`
+    counts the rows i.. that can still grow, so hardly any prefix is a dead
+    end.
     """
     out = {}
     for lam, c in terms:
-        rows = min(k, len(lam) + (p if vertical else 1))
+        rows = min(k, len(lam) + p)
         base = lam + (0,) * (rows - len(lam))
         room = [0] * (rows + 1)
         for i in range(rows - 1, -1, -1):
-            if vertical:
-                room[i] = room[i + 1] + (base[i] < width)
-            else:
-                room[i] = room[i + 1] + (base[i - 1] if i else width) - base[i]
+            room[i] = room[i + 1] + (base[i] < width)
         if room[0] < p:
             continue
         partial = [((), p)]
@@ -310,10 +305,7 @@ def _strips(terms, p: int, k: int, width: int, vertical: bool) -> dict:
             b = base[i]
             nxt = []
             for prefix, left in partial:
-                if vertical:
-                    top = min(b + 1, prefix[-1] if i else width)
-                else:
-                    top = base[i - 1] if i else width
+                top = min(b + 1, prefix[-1] if i else width)
                 for m in range(max(b, b + left - room[i + 1]), min(top, b + left) + 1):
                     rest = left - (m - b)
                     if rest:
@@ -327,132 +319,76 @@ def _strips(terms, p: int, k: int, width: int, vertical: bool) -> dict:
     return out
 
 
-def _strip_product(ctx: RingContext, p: int, x, vertical: bool) -> ChowElement:
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    if isinstance(x, ChowElement):
-        if x.context != ctx:
-            raise ValueError("element does not belong to the given ring context")
-    else:
-        x = make_class(ctx, x)
-    if p == 0:
-        return x
-    if p > (ctx.k if vertical else ctx.width):
-        return zero(ctx)
-    terms = ((lam.parts, c) for lam, c in x.terms.items())
-    out = _strips(terms, p, ctx.k, ctx.width, vertical)
-    return ChowElement(ctx, {Partition(mu): c for mu, c in out.items()})
+def _lr_stage(states: dict, m: int, k: int, width: int) -> dict:
+    """Add m boxes of the next letter to every state as a horizontal strip.
 
-
-def pieri(ctx: RingContext, p: int, x: ChowElement) -> ChowElement:
-    """Multiply by the special class sigma_p via the horizontal-strip rule."""
-    return _strip_product(ctx, p, x, vertical=False)
-
-
-def pieri_vertical(ctx: RingContext, p: int, x: ChowElement) -> ChowElement:
-    """Multiply by sigma_{1^p} via the vertical-strip rule."""
-    return _strip_product(ctx, p, x, vertical=True)
-
-
-def _completable(used: int, row: int, lo: list, hi: list) -> bool:
-    """Whether rows `row`.. can still take the columns missing from `used`.
-
-    Row r may take a column in [lo[r], hi[r]]; both bounds are
-    nondecreasing in r, so a matching exists iff the free columns, in
-    increasing order, fit the remaining rows in order.
+    A state (shape, last) holds the summed coefficient of every partial
+    filling with that shape in which the last letter placed fills
+    last[r] boxes of row r (`last` is None before the first letter).  The
+    reverse reading word must stay a lattice word: the new letter's boxes
+    in rows <= r number at most the last letter's boxes in rows < r.  The
+    shape stays inside the k x width box, and `room[r]` bounds what rows
+    r.. can still take.  Fillings that reach the same shape with the same
+    row counts of the new letter are merged.
     """
-    for col in range(len(lo)):
-        if not used >> col & 1:
-            if not lo[row] <= col <= hi[row]:
-                return False
-            row += 1
-    return True
-
-
-@lru_cache(maxsize=256)
-def _basis_product(ctx: RingContext, lam_parts: tuple, mu_parts: tuple) -> ChowElement:
-    """Product sigma_lam * sigma_mu, expanding the shorter partition mu.
-
-    sigma_mu = det(h_{mu_i - i + j}) (Jacobi-Trudi) is expanded row by row.
-    After i rows, every signed partial product sigma_lam * h_.. * h_.. whose
-    rows used the same set of columns is summed into one element, keyed by
-    that set as a bitmask; the next row applies one Pieri step to each sum
-    for each column still free.
-    An l-row mu thus costs at most l * 2^(l-1) Pieri steps, not l * l!.
-    Entries h_p with p < 0 or p > width vanish, and so do column sets the
-    remaining rows cannot complete.
-    """
-    if len(mu_parts) > len(lam_parts):
-        lam_parts, mu_parts = mu_parts, lam_parts
-    ell = len(mu_parts)
-    lo = [max(0, i - mu_parts[i]) for i in range(ell)]
-    hi = [min(ell - 1, ctx.width + i - mu_parts[i]) for i in range(ell)]
-    layer = {0: make_class(ctx, lam_parts)}
-    for i in range(ell):
-        sums = {}
-        for used, elem in layer.items():
-            for j in range(lo[i], hi[i] + 1):
-                if used >> j & 1 or not _completable(used | 1 << j, i + 1, lo, hi):
-                    continue
-                # sign of the permutation: one inversion per used column right of j
-                sign = -1 if bin(used >> j).count("1") % 2 else 1
-                p = mu_parts[i] - i + j
-                step = pieri(ctx, p, elem) if p else elem
-                acc = sums.setdefault(used | 1 << j, {})
-                for nu, c in step.terms.items():
-                    acc[nu] = acc.get(nu, 0) + sign * c
-        layer = {}
-        for used, acc in sums.items():
-            elem = ChowElement(ctx, acc)
-            if not elem.is_zero():
-                layer[used] = elem
-    return layer.get((1 << ell) - 1, zero(ctx))
-
-
-def _is_special(lam: Partition) -> bool:
-    """sigma_p (one row, or the unit) or sigma_{1^p} (one column)."""
-    return len(lam) <= 1 or lam.parts[0] == 1
-
-
-def _special_product(ctx: RingContext, lam: Partition, x: ChowElement) -> ChowElement:
-    if len(lam) <= 1:
-        return pieri(ctx, lam.part(0), x)
-    return pieri_vertical(ctx, len(lam), x)
+    out = {}
+    for (nu, last), c in states.items():
+        rows = min(k, len(nu) + 1)
+        base = nu + (0,) * (rows - len(nu))
+        cap = [(base[r - 1] if r else width) - base[r] for r in range(rows)]
+        room = [0] * (rows + 1)
+        for r in range(rows - 1, -1, -1):
+            room[r] = room[r + 1] + cap[r]
+        if room[0] < m:
+            continue
+        prev = (0,) * rows if last is None else last + (0,) * (rows - len(last))
+        # (counts of the new letter in rows < r, boxes left, lattice slack)
+        partial = [((), m, m if last is None else 0)]
+        for r in range(rows):
+            nxt = []
+            for counts, left, slack in partial:
+                for a in range(max(0, left - room[r + 1]), min(cap[r], left, slack) + 1):
+                    grown = counts + (a,)
+                    if a < left:
+                        nxt.append((grown, left - a, slack - a + prev[r]))
+                    else:
+                        key = (tuple(map(operator.add, base, grown)) + nu[r + 1:], grown)
+                        out[key] = out.get(key, 0) + c
+            partial = nxt
+            if not partial:
+                break
+    return out
 
 
 def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
-    """Chow ring product.
+    """Chow ring product by the Littlewood-Richardson rule.
 
-    Each single-row term sigma_p or single-column term sigma_{1^p} of y
-    multiplies the whole of x in one Pieri step, and each such term of x
-    multiplies the rest of y in one step.  The remaining pairs of basis
-    classes go through `_basis_product`: a Jacobi-Trudi expansion of the
-    shorter partition, row by row, with partial products summed by the set
-    of determinant columns they used.  Basis products are cached.
+    The content is the factor whose longest term has fewer rows.  Each of
+    its terms mu is applied to every term of the other factor at once:
+    row mu_i becomes a horizontal strip of the letter i (`_lr_stage`),
+    kept only while the reverse reading word is a lattice word, so the
+    surviving fillings count the coefficients c^nu_{lam,mu} with no signs
+    and no cancellation.  A single-column term 1^p (sigma_1 included) is
+    one vertical strip.
+    Shapes that leave the k x (n-k) box are dropped as they appear.
     """
     x._check_context(y)
     ctx = x.context
+    if max(map(len, x.terms), default=0) < max(map(len, y.terms), default=0):
+        x, y = y, x
+    base = [(lam.parts, c) for lam, c in x.terms.items()]
     out = {}
-
-    def add(elem, scale):
-        for nu, c in elem.terms.items():
-            out[nu] = out.get(nu, 0) + scale * c
-
-    rest = {}
     for mu, cy in y.terms.items():
-        if _is_special(mu):
-            add(_special_product(ctx, mu, x), cy)
+        if mu.parts[:1] == (1,):
+            prod = _vertical_strips(base, len(mu), ctx.k, ctx.width).items()
         else:
-            rest[mu] = cy
-    if rest:
-        rest_elem = ChowElement(ctx, rest)
-        for lam, cx in x.terms.items():
-            if _is_special(lam):
-                add(_special_product(ctx, lam, rest_elem), cx)
-            else:
-                for mu, cy in rest.items():
-                    add(_basis_product(ctx, lam.parts, mu.parts), cx * cy)
-    return ChowElement(ctx, out)
+            states = {(lam, None): c for lam, c in base}
+            for m in mu:
+                states = _lr_stage(states, m, ctx.k, ctx.width)
+            prod = ((nu, c) for (nu, _), c in states.items())
+        for nu, c in prod:
+            out[nu] = out.get(nu, 0) + cy * c
+    return ChowElement(ctx, {Partition(nu): c for nu, c in out.items()})
 
 
 def integrate(x: ChowElement) -> int:
@@ -474,20 +410,3 @@ def transpose_dual(ctx: RingContext, lam):
     if not ctx.fits(lam):
         raise ValueError(f"{lam!r} does not fit the G({ctx.k},{ctx.n}) box")
     return RingContext(ctx.n - ctx.k, ctx.n), lam.conjugate()
-
-
-def dual_class_vanishes(d: int, N: int) -> bool:
-    """Check that sigma_2 annihilates the transpose-dual of the two-row
-    class (N-2, N-2-(d+1)) taken in G(2, N).
-
-    This is the computational witness that lines in a family of that class
-    pass through finitely many points; it requires d >= 2 (for d = 1 the
-    geometric argument behind the check does not apply).
-    """
-    if d < 2:
-        raise ValueError("the vanishing check requires d >= 2")
-    if N < d + 3:
-        raise ValueError("need N >= d + 3 so the two-row class fits the box")
-    line_ctx = RingContext(2, N)
-    dual_ctx, conj = transpose_dual(line_ctx, Partition((N - 2, N - 2 - (d + 1))))
-    return pieri(dual_ctx, 2, make_class(dual_ctx, conj)).is_zero()

@@ -59,6 +59,7 @@ class VarietyDescriptor:
 
 def grassmannian(k: int, n: int) -> VarietyDescriptor:
     """G(k, n): dimension k(n-k), canonical coefficient -n."""
+    k, n = _integers((k, n), "Gr: k and n")
     if not 1 <= k < n:
         raise ValueError(f"Gr({k},{n}): need 1 <= k < n")
     return VarietyDescriptor(name=f"Gr({k},{n})", m=1, D=k * (n - k), a=(-n,))
@@ -66,6 +67,7 @@ def grassmannian(k: int, n: int) -> VarietyDescriptor:
 
 def projective_space(n: int) -> VarietyDescriptor:
     """P^n = G(1, n+1) with its own display name."""
+    (n,) = _integers((n,), "P: n")
     if n < 1:
         raise ValueError(f"P({n}): need n >= 1")
     return VarietyDescriptor(name=f"P({n})", m=1, D=n, a=(-(n + 1),))
@@ -77,6 +79,7 @@ def orthogonal(k: int, n: int) -> VarietyDescriptor:
     Parameters are accepted only when the dimension is a positive integer
     and the canonical coefficient satisfies a <= -2.
     """
+    k, n = _integers((k, n), "OG: k and n")
     twice_d = k * (2 * n - 3 * k - 1)
     if twice_d % 2 != 0:
         raise ValueError(f"OG({k},{n}): dimension k(2n-3k-1)/2 is not an integer")
@@ -99,6 +102,7 @@ _SYMPLECTIC_NOTE = (
 
 def symplectic(k: int, n: int) -> VarietyDescriptor:
     """SG(k, n): dimension k(2n-3k+1)/2, canonical coefficient -n+3k-2."""
+    k, n = _integers((k, n), "SG: k and n")
     twice_d = k * (2 * n - 3 * k + 1)
     if twice_d % 2 != 0:
         raise ValueError(f"SG({k},{n}): dimension k(2n-3k+1)/2 is not an integer")
@@ -132,6 +136,7 @@ def flag(ks, n: int) -> VarietyDescriptor:
     D = sum k_i (k_(i+1) - k_i).
     """
     ks = _integers(ks, "Fl: subspace dimensions")
+    (n,) = _integers((n,), "Fl: n")
     if not ks:
         raise ValueError("Fl: need at least one subspace dimension")
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)) or ks[0] < 1 or ks[-1] >= n:

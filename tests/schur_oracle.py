@@ -1,11 +1,12 @@
-"""Independent Schur-polynomial multiplication oracle.
+"""Independent Schur-polynomial multiplication oracle for the tests.
 
 Represents a Schubert class sigma_lam of G(k, n) as the Schur polynomial
 s_lam in k variables (built by semistandard-tableau enumeration, not by
-any Pieri/Giambelli machinery), multiplies honest polynomials, re-expands
-the product in the Schur basis by leading-term subtraction, and truncates
-parts exceeding n-k.  Intended for small k and small degree; exists to
-cross-check `alghyp.grassmann.multiply` by a disjoint code path.
+any strip or Littlewood-Richardson machinery), multiplies honest
+polynomials, re-expands the product in the Schur basis by leading-term
+subtraction, and truncates parts exceeding n-k.  Intended for small k
+and small degree; exists to cross-check `alghyp.grassmann.multiply` by a
+disjoint code path.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .grassmann import ChowElement, Partition, RingContext
+from alghyp.grassmann import ChowElement, Partition, RingContext
 
 
 def _ssyt_fillings(shape, k):

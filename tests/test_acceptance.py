@@ -19,14 +19,11 @@ from alghyp.grassmann import (
     Partition,
     RingContext,
     complement,
-    dual_class_vanishes,
     integrate,
     make_class,
     multiply,
-    pieri,
     transpose_dual,
 )
-from alghyp.schur import schur_oracle_multiply
 from alghyp.sections import check_projective_space
 from alghyp.varieties import (
     OPEN_GAP,
@@ -41,6 +38,7 @@ from alghyp.varieties import (
     symplectic,
 )
 from tests.instances import catalog_instances
+from tests.schur_oracle import schur_oracle_multiply
 from tests.test_grassmann import all_box_partitions
 
 
@@ -63,7 +61,7 @@ def test_criterion_1_schubert_oracle_equivalence():
                     if multiply(x, y) != schur_oracle_multiply(x, y):
                         report(1, False, f"disagreement at G({k},{n}) {lam} {mu}")
                     pairs += 1
-    report(1, True, f"Pieri/Giambelli agrees with the Schur oracle on {pairs} pairs")
+    report(1, True, f"Littlewood-Richardson agrees with the Schur oracle on {pairs} pairs")
 
 
 def test_criterion_2_classical_line_counts():
@@ -80,17 +78,24 @@ def test_criterion_3_missing_class_positivity():
     report(3, True, "single-row class absent and two-row classes positive, d=2..30")
 
 
+def dual_class_vanishes(d, N):
+    """Whether sigma_2 annihilates the transpose-dual of the two-row class
+    (N-2, N-2-(d+1)) of G(2, N), for d >= 2 and N >= d + 3.
+
+    This is the computational witness that lines in a family of that class
+    pass through finitely many points; for d = 1 the geometric argument
+    behind the check does not apply.
+    """
+    dual_ctx, conj = transpose_dual(RingContext(2, N), Partition((N - 2, N - 2 - (d + 1))))
+    assert conj == Partition((2,) * (N - 2 - (d + 1)) + (1,) * (d + 1))
+    return multiply(make_class(dual_ctx, (2,)), make_class(dual_ctx, conj)).is_zero()
+
+
 def test_criterion_4_dual_class_vanishing():
     checked = 0
     for d in range(2, 11):
         for N in range(d + 3, 15):
-            line_ctx = RingContext(2, N)
-            dual_ctx, conj = transpose_dual(
-                line_ctx, Partition((N - 2, N - 2 - (d + 1)))
-            )
-            assert conj == Partition((2,) * (N - 2 - (d + 1)) + (1,) * (d + 1))
-            prod = pieri(dual_ctx, 2, make_class(dual_ctx, conj))
-            if not prod.is_zero() or not dual_class_vanishes(d, N):
+            if not dual_class_vanishes(d, N):
                 report(4, False, f"nonzero product at d={d}, N={N}")
             checked += 1
     report(4, True, f"dual-class Pieri vanishing holds at {checked} (d, N) points")

@@ -9,12 +9,9 @@ from alghyp.grassmann import (
     Partition,
     RingContext,
     complement,
-    dual_class_vanishes,
     integrate,
     make_class,
     multiply,
-    pieri,
-    pieri_vertical,
     transpose_dual,
     unit,
     zero,
@@ -145,47 +142,52 @@ class TestChowElementInput:
 
 
 class TestPieri:
+    """Products with sigma_p, checked against a brute-force strip oracle."""
+
     def test_square_of_hyperplane(self):
         ctx = RingContext(2, 4)
-        x = pieri(ctx, 1, make_class(ctx, Partition([1])))
+        x = multiply(make_class(ctx, (1,)), make_class(ctx, Partition([1])))
         assert x.terms == {Partition([2]): 1, Partition([1, 1]): 1}
 
     def test_vanishing_in_tall_box(self):
         ctx = RingContext(4, 6)
-        x = pieri(ctx, 2, make_class(ctx, Partition([2, 1, 1, 1])))
+        x = multiply(make_class(ctx, (2,)), make_class(ctx, Partition([2, 1, 1, 1])))
         assert x.is_zero()
         assert brute_horizontal_products(ctx, 2, Partition([2, 1, 1, 1])) == {}
 
     def test_zero_strip_is_identity(self):
         ctx = RingContext(3, 7)
         x = make_class(ctx, Partition([3, 2])) + 2 * make_class(ctx, Partition([1]))
-        assert pieri(ctx, 0, x) == x
+        assert multiply(make_class(ctx, (0,)), x) == x
 
     def test_matches_brute_force_enumeration(self):
         for k, n in ((2, 5), (3, 6), (4, 6)):
             ctx = RingContext(k, n)
             for lam in all_box_partitions(k, n - k, 6):
                 for p in range(0, n - k + 1):
-                    got = pieri(ctx, p, make_class(ctx, lam)).terms
+                    x, s = make_class(ctx, lam), make_class(ctx, (p,))
                     want = brute_horizontal_products(ctx, p, lam) if p else {lam: 1}
-                    assert got == want, (k, n, lam, p)
+                    assert multiply(s, x).terms == want, (k, n, lam, p)
+                    assert multiply(x, s).terms == want, (k, n, lam, p)
 
 
 class TestPieriVertical:
+    """Products with sigma_{1^p}, checked against sigma_p on the conjugate."""
+
     def test_column_squares(self):
         ctx = RingContext(2, 4)
-        x = pieri_vertical(ctx, 2, make_class(ctx, Partition([1, 1])))
+        x = multiply(make_class(ctx, (1, 1)), make_class(ctx, Partition([1, 1])))
         assert x.terms == {Partition([2, 2]): 1}
 
     def test_mixed(self):
         ctx = RingContext(2, 5)
-        x = pieri_vertical(ctx, 2, make_class(ctx, Partition([2])))
+        x = multiply(make_class(ctx, (1, 1)), make_class(ctx, Partition([2])))
         assert x.terms == {Partition([3, 1]): 1}
 
     def test_zero_strip_is_identity(self):
         ctx = RingContext(2, 5)
         x = make_class(ctx, Partition([2, 1]))
-        assert pieri_vertical(ctx, 0, x) == x
+        assert multiply(make_class(ctx, (1,) * 0), x) == x
 
     def test_agrees_with_conjugate_pieri(self):
         # vertical strips on lam = horizontal strips on the conjugate
@@ -193,8 +195,8 @@ class TestPieriVertical:
         dual = RingContext(4, 7)
         for lam in all_box_partitions(3, 4, 6):
             for p in range(0, 4):
-                got = pieri_vertical(ctx, p, make_class(ctx, lam)).terms
-                via = pieri(dual, p, make_class(dual, lam.conjugate())).terms
+                got = multiply(make_class(ctx, (1,) * p), make_class(ctx, lam)).terms
+                via = multiply(make_class(dual, (p,)), make_class(dual, lam.conjugate())).terms
                 assert got == {mu.conjugate(): c for mu, c in via.items()}
 
 
@@ -224,13 +226,14 @@ class TestMultiply:
 
 
 def counting(monkeypatch, name):
-    """Replace grassmann.<name> by a wrapper that counts its calls."""
+    """Replace grassmann.<name> by a wrapper that records (args, result)."""
     calls = []
     inner = getattr(grassmann, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+        result = inner(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr(grassmann, name, wrapper)
     return calls
@@ -239,36 +242,52 @@ def counting(monkeypatch, name):
 class TestProductWork:
     """Deterministic work counts of the product algorithm (no timing)."""
 
-    def test_many_row_pair_pieri_bound(self, monkeypatch):
-        # sigma_{nu^c} * sigma_mu with l(mu) = 9 in G(9,18): the determinant
-        # has 9! = 362880 permutation terms, but summing partial products by
-        # column set bounds the work by 9 * 2^8 Pieri steps
+    def test_special_factor_is_one_strip(self, monkeypatch):
+        # x has a four-row term, so the special class is the content in
+        # either order: a single row is one LR stage, a single column
+        # (sigma_1 included) one vertical strip, each applied to both terms
+        # of x at once
+        ctx = RingContext(4, 9)
+        x = make_class(ctx, Partition([3, 2, 2, 1])) + 2 * make_class(ctx, Partition([2, 1]))
+        for special, stages, strips in (([3], 1, 0), ([1, 1, 1], 0, 1), ([1], 0, 1)):
+            s = make_class(ctx, Partition(special))
+            for a, b in ((x, s), (s, x)):
+                stage_calls = counting(monkeypatch, "_lr_stage")
+                strip_calls = counting(monkeypatch, "_vertical_strips")
+                multiply(a, b)
+                monkeypatch.undo()
+                assert (len(stage_calls), len(strip_calls)) == (stages, strips), (special, a, b)
+
+    def test_many_row_pair_state_bound(self, monkeypatch):
+        # sigma_{nu^c} * sigma_mu with l(mu) = 9 in G(9,18): the Jacobi-Trudi
+        # determinant of mu has 9! = 362880 permutation terms; the LR rule
+        # takes one stage per row of mu and merges equal fillings
         ctx = RingContext(9, 18)
         lam = complement(ctx, Partition([4, 3, 3, 2, 2, 2, 1, 1, 1]))
         mu = Partition([3, 3, 2, 2, 1, 1, 1, 1, 1])
-        grassmann._basis_product.cache_clear()
-        calls = counting(monkeypatch, "pieri")
+        stages = counting(monkeypatch, "_lr_stage")
         prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
-        grassmann._basis_product.cache_clear()
-        assert 0 < len(calls) <= 9 * 2**8
+        assert len(stages) == len(mu)
+        assert sum(len(out) for _, out in stages) <= 85  # merged states
         assert prod.degrees() == {lam.size + mu.size}
         assert all(c > 0 for c in prod.terms.values())
 
-    def test_special_factor_is_one_strip(self, monkeypatch):
-        ctx = RingContext(4, 9)
-        x = make_class(ctx, Partition([3, 2, 2])) + 2 * make_class(ctx, Partition([2, 1]))
-        for special in (Partition([3]), Partition([1, 1, 1]), Partition([1])):
-            s = make_class(ctx, special)
-            for a, b in ((x, s), (s, x)):
-                grassmann._basis_product.cache_clear()
-                strips = counting(monkeypatch, "_strips")
-                multiply(a, b)
-                monkeypatch.undo()
-                assert len(strips) == 1, (special, a, b)
-                assert grassmann._basis_product.cache_info().currsize == 0
-
-    def test_product_cache_is_bounded(self):
-        assert grassmann._basis_product.cache_info().maxsize is not None
+    def test_tall_pair_state_bound(self, monkeypatch):
+        # two nine-row factors whose conjugates have two and three rows;
+        # the direct product must agree with the conjugate one
+        ctx = RingContext(9, 18)
+        lam = Partition([3, 3, 3, 2, 2, 2, 1, 1, 1])
+        mu = Partition([2, 2, 2, 2, 2, 1, 1, 1, 1])
+        stages = counting(monkeypatch, "_lr_stage")
+        prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
+        monkeypatch.undo()
+        assert len(stages) == len(mu)
+        assert sum(len(out) for _, out in stages) <= 200  # merged states
+        dual, lam_t = transpose_dual(ctx, lam)
+        _, mu_t = transpose_dual(ctx, mu)
+        via = multiply(make_class(dual, lam_t), make_class(dual, mu_t))
+        assert prod.terms == {nu.conjugate(): c for nu, c in via.terms.items()}
+        assert all(c > 0 for c in prod.terms.values())
 
 
 def many_row_pairs(rng, k, count):
@@ -363,19 +382,6 @@ class TestTransposeDual:
     def test_out_of_box_raises(self):
         with pytest.raises(ValueError):
             transpose_dual(RingContext(2, 4), Partition([1, 1, 1]))
-
-
-class TestDualClassVanishing:
-    def test_holds_on_small_grid(self):
-        for d in range(2, 6):
-            for N in range(d + 3, 10):
-                assert dual_class_vanishes(d, N)
-
-    def test_documented_preconditions(self):
-        with pytest.raises(ValueError):
-            dual_class_vanishes(1, 6)
-        with pytest.raises(ValueError):
-            dual_class_vanishes(3, 5)
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from alghyp.grassmann import ChowElement, Partition, RingContext, multiply  # noqa: E402
-from alghyp.schur import schur_oracle_multiply  # noqa: E402
+from tests.schur_oracle import schur_oracle_multiply  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from alghyp.grassmann import Partition, RingContext, make_class, multiply, unit
-from alghyp.schur import (
+from tests.schur_oracle import (
     element_to_polynomial,
     poly_multiply,
     schur_expand,

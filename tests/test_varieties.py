@@ -85,6 +85,21 @@ class TestConstructors:
             with pytest.raises(ValueError, match="must be integers"):
                 flag(ks, 4)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [(grassmannian, (2, 8)), (projective_space, (8,)), (orthogonal, (1, 8)),
+         (symplectic, (1, 8)), (flag, ((1, 2), 8))],
+        ids=["Gr", "P", "OG", "SG", "Fl"],
+    )
+    def test_rejects_non_integer_arguments(self, build, args):
+        build(*args)
+        for i, arg in enumerate(args):
+            if isinstance(arg, tuple):
+                continue  # flag's subspace dimensions: test_flag_rejects_non_integers
+            for bad in (float(arg), Fraction(arg), str(arg)):
+                with pytest.raises(ValueError, match="must be integers"):
+                    build(*args[:i], bad, *args[i + 1:])
+
     def test_flag_dimension_oracle(self):
         import itertools
 
