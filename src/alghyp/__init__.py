@@ -16,8 +16,6 @@ from .grassmann import (
     make_class,
     multiply,
     transpose_dual,
-    unit,
-    zero,
 )
 from .sections import SectionDominationResult, check_projective_space
 from .varieties import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grassmann import ChowElement, Partition, RingContext, integrate, make_class, multiply
+from .varieties import _integers
 
 
 def top_chern_sym(d: int, N: int) -> ChowElement:
@@ -30,6 +31,7 @@ def top_chern_sym(d: int, N: int) -> ChowElement:
     c[a] - c[a+1] for a >= (d+1)/2.  Classes wider than the box
     (a > N-2) are dropped.
     """
+    d, N = _integers((d, N), "top_chern_sym: d and N")
     if d < 1:
         raise ValueError("d must be >= 1")
     if N < 4:
@@ -56,7 +58,6 @@ class FanoClassReport:
     N: int
     expansion: ChowElement
     missing_class_ok: bool
-    positive_coefficients: tuple  # ((parts, coeff), ...) for i >= j >= 1
     line_count: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -75,6 +76,7 @@ def fano_class(d: int, N: int) -> FanoClassReport:
     Certifies that the coefficient of the single-row class of degree d+1
     vanishes while every two-row class of that degree is strictly positive.
     """
+    d, N = _integers((d, N), "fano_class: d and N")
     if d < 2:
         raise ValueError("d must be >= 2")
     if N - 2 < d + 1:
@@ -82,23 +84,16 @@ def fano_class(d: int, N: int) -> FanoClassReport:
             f"box width {N - 2} hides classes of degree {d + 1}; raise N to at least {d + 3}"
         )
     expansion = top_chern_sym(d, N)
-    single_row = expansion.coefficient(Partition((d + 1,)))
-    positives = []
-    all_positive = True
-    for j in range(1, (d + 1) // 2 + 1):
-        i = d + 1 - j
-        c = expansion.coefficient(Partition((i, j)))
-        positives.append(((i, j), c))
-        if c <= 0:
-            all_positive = False
-    ok = single_row == 0 and all_positive
+    ok = expansion.coefficient(Partition((d + 1,))) == 0 and all(
+        expansion.coefficient(Partition((d + 1 - j, j))) > 0
+        for j in range(1, (d + 1) // 2 + 1)
+    )
     count = integrate(expansion) if d + 1 == 2 * (N - 2) else None
     return FanoClassReport(
         d=d,
         N=N,
         expansion=expansion,
         missing_class_ok=ok,
-        positive_coefficients=tuple(positives),
         line_count=count,
     )
 
@@ -110,10 +105,12 @@ def paired_rearrangement(d: int, N: int | None = None) -> ChowElement:
     d^2 * s11 * prod_i [i(d-i) s1^2 + (d-2i)^2 s11] * (d/2) s1, evaluated
     entirely in the Chow ring; must agree with `top_chern_sym`.
     """
+    (d,) = _integers((d,), "paired_rearrangement: d")
     if d < 2 or d % 2 != 0:
         raise ValueError("the paired route needs even d >= 2")
-    if N is None:
-        N = d + 3
+    (N,) = _integers((d + 3 if N is None else N,), "paired_rearrangement: N")
+    if N < 4:
+        raise ValueError("N must be >= 4")
     ctx = RingContext(2, N)
     s1 = make_class(ctx, Partition((1,)))
     s11 = make_class(ctx, Partition((1, 1)))
@@ -127,6 +124,7 @@ def paired_rearrangement(d: int, N: int | None = None) -> ChowElement:
 def line_count(n: int) -> int:
     """Number of lines on a very general degree 2n-3 hypersurface in
     projective n-space (the finite case)."""
+    (n,) = _integers((n,), "line_count: n")
     if n < 3:
         raise ValueError("n must be >= 3")
     return integrate(top_chern_sym(2 * n - 3, n + 1))

@@ -447,6 +447,8 @@ def _cmd_certify(args):
 
 def _cmd_section_dom(args):
     if args.grid:
+        if args.n is not None or args.d is not None:
+            raise CLIError("section-dom --grid takes neither --n nor --d")
         results = sections.grid_report()
     else:
         if args.n is None or args.d is None:
@@ -561,18 +563,17 @@ def _build_parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        text = args.func(args)
-    except ValueError as err:  # CLIError or a violated library precondition
+        payload = args.func(args) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(payload)
+    except (ValueError, OSError) as err:  # bad input, or an --out path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # internal invariant violation
         print(f"internal error: {err!r}", file=sys.stderr)
         return 2
-    payload = text + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
         sys.stdout.flush()
     return 0

@@ -16,10 +16,7 @@ construction, and every operation is a pure function.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
-
-_DECIMAL = re.compile(r"-?[0-9]+")  # the coefficient pattern of CHOW_ELEMENT_SCHEMA
 
 
 class Partition:
@@ -51,18 +48,11 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def __len__(self):
         return len(self.parts)
 
     def __iter__(self):
         return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
 
     def part(self, i: int) -> int:
         """i-th part (0-based), 0 beyond the last row."""
@@ -75,9 +65,6 @@ class Partition:
         return Partition(
             tuple(sum(1 for p in self.parts if p > i) for i in range(self.parts[0]))
         )
-
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i) for i in range(len(other)))
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -129,11 +116,6 @@ class RingContext:
         return len(lam) <= self.k and (not lam.parts or lam.parts[0] <= self.width)
 
 
-def _term_key(lam: Partition):
-    # canonical ordering: lexicographically descending partition tuples
-    return lam.parts
-
-
 class ChowElement:
     """Formal integer combination of Schubert classes of a fixed G(k, n).
 
@@ -163,19 +145,12 @@ class ChowElement:
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, lam) -> int:
         return self.terms.get(_as_partition(lam), 0)
 
-    def degrees(self) -> set:
-        """Set of grading degrees |lambda| occurring in the element."""
-        return {lam.size for lam in self.terms}
-
     def sorted_terms(self):
         """Terms in canonical order (partitions lex descending)."""
-        return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: t[0].parts, reverse=True)
 
     def __eq__(self, other):
         return (
@@ -194,23 +169,12 @@ class ChowElement:
             out[lam] = out.get(lam, 0) + c
         return ChowElement(self.context, out)
 
-    def __neg__(self):
-        return ChowElement(self.context, {lam: -c for lam, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, scalar: int):
         if not isinstance(scalar, int):
             return NotImplemented
         return ChowElement(
             self.context, {lam: scalar * c for lam, c in self.terms.items()}
         )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
-        return multiply(self, other)
 
     def _check_context(self, other):
         if not isinstance(other, ChowElement):
@@ -246,38 +210,15 @@ class ChowElement:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChowElement":
-        """Inverse of `to_json_dict`; a coefficient may also be a JSON integer."""
-        ctx = RingContext(data["k"], data["n"])
-        terms = {}
-        for t in data["terms"]:
-            lam = Partition(t["partition"])
-            c = t["coeff"]
-            if isinstance(c, str):
-                if _DECIMAL.fullmatch(c) is None:
-                    raise ValueError(f"coefficient of {lam!r} must match -?[0-9]+, got {c!r}")
-                c = int(c)
-            terms[lam] = terms.get(lam, 0) + c
-        return cls(ctx, terms)
-
     def __repr__(self):
         return f"<{self.to_text()} in G({self.context.k},{self.context.n})>"
-
-
-def zero(ctx: RingContext) -> ChowElement:
-    return ChowElement(ctx, {})
-
-
-def unit(ctx: RingContext) -> ChowElement:
-    return ChowElement(ctx, {Partition(): 1})
 
 
 def make_class(ctx: RingContext, lam) -> ChowElement:
     """Schubert class for `lam`, or zero if it does not fit the box."""
     lam = _as_partition(lam)
     if not ctx.fits(lam):
-        return zero(ctx)
+        return ChowElement(ctx)
     return ChowElement(ctx, {lam: 1})
 
 

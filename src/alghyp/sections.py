@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .varieties import _integers
+
 
 def _exponent_tuples(nvars: int, total: int):
     if nvars == 1:
@@ -49,6 +51,7 @@ def check_projective_space(n: int, d: int) -> SectionDominationResult:
     single monomial, so every column is a unit vector and the exact rank
     is the number of distinct target rows the columns hit.
     """
+    n, d = _integers((n, d), "check_projective_space: n and d")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     x0_power = (d,) + (0,) * n

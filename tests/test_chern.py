@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from alghyp.chern import fano_class, line_count, paired_rearrangement, top_chern_sym
-from alghyp.grassmann import Partition, RingContext, make_class, multiply, unit
+from alghyp.grassmann import Partition, RingContext, make_class, multiply
+from alghyp.sections import check_projective_space
 
 # golden values computed with the standalone monomial-expansion oracle
 # (expand the root product, divide the alternant) before the main build
@@ -22,7 +25,7 @@ def paired_product(d, N):
     ctx = RingContext(2, N)
     s1 = make_class(ctx, Partition([1]))
     s11 = make_class(ctx, Partition([1, 1]))
-    acc = unit(ctx)
+    acc = make_class(ctx, ())
     for i in range((d + 1) // 2):
         acc = multiply(acc, (i * (d - i)) * multiply(s1, s1) + ((d - 2 * i) ** 2) * s11)
     if d % 2 == 0:
@@ -53,7 +56,7 @@ class TestTopChern:
 
     def test_homogeneous(self):
         for d in range(1, 12):
-            assert top_chern_sym(d, d + 3).degrees() == {d + 1}
+            assert {sum(lam.parts) for lam in top_chern_sym(d, d + 3).terms} == {d + 1}
 
     def test_box_stability(self):
         # widening the box never changes coefficients of classes it keeps
@@ -71,7 +74,7 @@ class TestTopChern:
         # every two-row class of degree d-1 appears positively in s1^(d-1)
         for d in range(2, 31):
             ctx = RingContext(2, d + 3)
-            x = unit(ctx)
+            x = make_class(ctx, ())
             for _ in range(d - 1):
                 x = multiply(x, make_class(ctx, Partition([1])))
             for j in range(0, (d - 1) // 2 + 1):
@@ -90,8 +93,8 @@ class TestFanoClass:
             report = fano_class(d, d + 3)
             assert report.missing_class_ok, d
             assert report.expansion.coefficient(Partition([d + 1])) == 0
-            for (i, j), c in report.positive_coefficients:
-                assert i + j == d + 1 and i >= j >= 1 and c > 0
+            for j in range(1, (d + 1) // 2 + 1):
+                assert report.expansion.coefficient(Partition([d + 1 - j, j])) > 0, (d, j)
 
     def test_box_too_small(self):
         with pytest.raises(ValueError):
@@ -114,11 +117,34 @@ class TestPairedRearrangement:
         for d in range(2, 21, 2):
             assert paired_rearrangement(d) == top_chern_sym(d, d + 3), d
 
+    def test_rejects_small_box(self):
+        with pytest.raises(ValueError, match="N must be >= 4"):
+            paired_rearrangement(4, 3)
+
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
             paired_rearrangement(3)
         with pytest.raises(ValueError):
             paired_rearrangement(0)
+
+
+@pytest.mark.parametrize("bad", [4.0, Fraction(4), "4"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: top_chern_sym(x, 7),
+        lambda x: top_chern_sym(3, x),
+        lambda x: fano_class(x, 7),
+        line_count,
+        paired_rearrangement,
+        lambda x: paired_rearrangement(2, x),
+        lambda x: check_projective_space(x, 2),
+        lambda x: check_projective_space(2, x),
+    ],
+)
+def test_library_refuses_non_integers(call, bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        call(bad)
 
 
 class TestLineCount:

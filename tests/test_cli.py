@@ -136,6 +136,19 @@ class TestCommands:
         data = json.loads(target.read_text())
         assert data["name"] == "Gr(2,5)"
 
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_out_path(self, capsys, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "absent" / "report.json"
+        code, out, err = run_cli(capsys, "info", "Gr(2,5)", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_grid_refuses_n_and_d(self, capsys):
+        for extra in (("--n", "2"), ("--d", "3"), ("--n", "2", "--d", "3")):
+            code, out, err = run_cli(capsys, "section-dom", "--grid", *extra)
+            assert code == 1 and out == ""
+            assert "--n" in err and "--d" in err
+
     def test_exit_code_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "info", "OG(2,6)")
         assert code == 1 and out == "" and "a <= -2" in err
