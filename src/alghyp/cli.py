@@ -10,6 +10,7 @@ printed exactly, never as decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -121,21 +122,12 @@ def parse_variety(spec: str) -> VarietyDescriptor:
 def _parse_factor(sc: _Scanner) -> VarietyDescriptor:
     start = sc.pos
     name = sc.read_name()
-    if name == "Fl":
-        sc.expect("(")
-        ks = [sc.read_int()]
-        while sc.peek() == ",":
-            sc.pos += 1
-            ks.append(sc.read_int())
-        sc.expect(";")
-        n = sc.read_int()
-        sc.expect(")")
-        return flag(ks, n)
     makers = {
         "P": (1, projective_space),
         "Gr": (2, grassmannian),
         "OG": (2, orthogonal),
         "SG": (2, symplectic),
+        "Fl": (2, flag),  # Fl(k1,...,km;n) is read as the two arguments ks, n
     }
     if name not in makers:
         raise CLIError(
@@ -147,6 +139,9 @@ def _parse_factor(sc: _Scanner) -> VarietyDescriptor:
     while sc.peek() == ",":
         sc.pos += 1
         args.append(sc.read_int())
+    if name == "Fl":
+        sc.expect(";")
+        args = [args, sc.read_int()]
     sc.expect(")")
     if len(args) != arity:
         raise CLIError(
@@ -489,7 +484,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The argparse tree, built on the first `main` call and shared by
+    every later call in the process.  `parse_args` keeps no state on it
+    between calls, and the parser is never mutated after it is built.
+    """
     parser = _ArgumentParser(
         prog="alghyp",
         description="Exact thresholds and certificates for algebraic "

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from alghyp import schemas
-from alghyp.cli import CLIError, main, parse_chow, parse_partition, parse_variety
+from alghyp.cli import CLIError, _parse_degrees, _parse_range, main, parse_chow, parse_partition, parse_variety
 from alghyp.grassmann import Partition, RingContext
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
@@ -51,6 +51,9 @@ class TestParseVariety:
     def test_semantic_errors_name_the_constraint(self):
         with pytest.raises(CLIError, match="a <= -2"):
             parse_variety("OG(2,6)")
+        for spec in ("Fl(3,2;4)", "P(2)xFl(1;1)", "Gr(0,3)"):
+            with pytest.raises(CLIError, match="need"):
+                parse_variety(spec)
 
 
 class TestParseChow:
@@ -257,3 +260,68 @@ class TestDeterminism:
             check=True,
         )
         assert proc.stdout == out
+
+
+# Each entry point takes (box, text); only parse_chow reads the box.
+PARSERS = {
+    "parse_variety": lambda box, text: parse_variety(text),
+    "parse_chow": lambda box, text: parse_chow(*box, text),
+    "parse_partition": lambda box, text: parse_partition(text),
+    "_parse_degrees": lambda box, text: _parse_degrees(text),
+    "_parse_range": lambda box, text: _parse_range(text),
+}
+
+
+@pytest.mark.parametrize("entry", PARSERS)
+def test_only_cli_error_escapes_the_parser(entry):
+    """Grammar-aware fuzzing: each entry point gets text of its own grammar
+    (variety specs, class expressions, one class, degree lists, ranges) with
+    small integers, zero, negatives and non-ASCII digits, and up to two
+    stray tokens spliced in.  parse_chow runs in a valid box, because k and
+    n are the caller's, not part of the parsed text.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    ints = st.one_of(
+        st.integers(0, 6).map(str),
+        st.integers(-3, 12).map(str),
+        st.sampled_from(["\u0663", "\u00b2", "\uff17", "00", "1_0"]),
+    )
+    int_lists = st.lists(ints, min_size=1, max_size=4).map(",".join)
+    factors = st.one_of(
+        st.tuples(st.sampled_from(["P", "Gr", "OG", "SG", "Zr"]), int_lists).map("{0[0]}({0[1]})".format),
+        st.tuples(int_lists, ints).map("Fl({0[0]};{0[1]})".format),
+    )
+    coefficients = st.one_of(st.just(""), ints.map("{}*".format), ints)
+    terms = st.tuples(coefficients, int_lists | st.just("")).map("{0[0]}s[{0[1]}]".format)
+    grammars = {
+        "parse_variety": st.lists(factors, min_size=1, max_size=3).map("x".join),
+        "parse_chow": st.lists(terms, min_size=1, max_size=3).map(" + ".join),
+        "parse_partition": terms,
+        "_parse_degrees": int_lists,
+        "_parse_range": st.tuples(ints, ints).map("..".join),
+    }
+    stray = st.sampled_from(list("x(),;[]*+-. ") + ["..", "Fl", "s", "P"])
+
+    @st.composite
+    def texts(draw):
+        text = draw(grammars[entry])
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(stray) + text[i + draw(st.integers(0, 1)):]
+        return text
+
+    boxes = st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, 8)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(boxes, texts())
+    @example((2, 4), "Fl(3,2;4)")  # once escaped parse_variety as a plain ValueError
+    def check(box, text):
+        try:
+            PARSERS[entry](box, text)
+        except CLIError:
+            pass
+
+    check()

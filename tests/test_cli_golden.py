@@ -7,6 +7,7 @@ Regenerating the file changes pinned behaviour; to do it on purpose, run
 `PYTHONPATH=src python -m tests.test_cli_golden` from the repository root.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -72,6 +73,36 @@ def test_transcript_is_byte_identical(golden, argv):
     assert got["exit"] == want["exit"]
     assert got["stdout"].encode() == want["stdout"].encode()
     assert got["stderr"].encode() == want["stderr"].encode()
+
+
+# argv that argparse itself refuses: a missing required flag, a missing
+# subcommand and an unknown command
+REJECTED = (("classify", "P(4)"), ("schubert",), ("frobnicate",))
+
+
+def test_shared_parser_keeps_no_state_between_calls(golden):
+    """Every golden argv, in reverse order and each after an argv that
+    argparse rejects mid-parse, gives its pinned transcript in one process."""
+    for i, argv in enumerate(reversed(ALL_COMMANDS)):
+        assert transcript(REJECTED[i % len(REJECTED)])["exit"] == 1
+        assert transcript(argv) == golden[argv], argv
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    """After a first call, the golden argv construct no ArgumentParser."""
+    transcript(ALL_COMMANDS[0])
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in ALL_COMMANDS:
+        transcript(argv)
+    assert built == 0
 
 
 if __name__ == "__main__":
