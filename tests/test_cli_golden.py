@@ -3,7 +3,9 @@
 `tests/golden/cli.json` pins the 16 acceptance commands, one text-mode
 command for each epsilon and classification rendering path, and one
 refusal (exit 1) per command that checks a library precondition.
-Regenerating the file changes pinned behaviour; to do it on purpose, run
+`tests/golden/schemas.json` pins the `json.dumps` text of every published
+`*_SCHEMA` in `alghyp.schemas`, key order included.
+Regenerating either file changes pinned behaviour; to do it on purpose, run
 `PYTHONPATH=src python -m tests.test_cli_golden` from the repository root.
 """
 
@@ -15,10 +17,12 @@ import pathlib
 
 import pytest
 
+from alghyp import schemas
 from alghyp.cli import main
 from tests.test_acceptance import ACCEPTANCE_COMMANDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+SCHEMAS_GOLDEN = GOLDEN.with_name("schemas.json")
 
 EXTRA_COMMANDS = (
     ("classify", "Gr(2,4)", "--deg", "9"),
@@ -105,6 +109,19 @@ def test_parser_is_built_once_per_process(monkeypatch):
     assert built == 0
 
 
+def published_schemas():
+    return {name: json.dumps(value) for name, value in vars(schemas).items() if name.endswith("_SCHEMA")}
+
+
+def test_published_schemas_are_byte_identical():
+    want = json.loads(SCHEMAS_GOLDEN.read_text(encoding="utf-8"))
+    got = published_schemas()
+    assert sorted(got) == sorted(want)
+    for name, text in want.items():
+        assert got[name] == text, name
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([transcript(a) for a in ALL_COMMANDS], indent=1) + "\n", encoding="utf-8")
+    SCHEMAS_GOLDEN.write_text(json.dumps(published_schemas(), indent=1) + "\n", encoding="utf-8")

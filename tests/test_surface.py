@@ -7,6 +7,7 @@ submodules, which appear as package attributes once something imports them.
 from types import ModuleType
 
 import alghyp
+from alghyp import schemas
 from alghyp.grassmann import ChowElement, Partition, RingContext
 
 
@@ -48,6 +49,25 @@ def test_package_exports():
         "symplectic",
         "top_chern_sym",
         "transpose_dual",
+    ]
+
+
+def test_schema_names():
+    # the helpers that build the schemas stay private
+    assert public(vars(schemas)) == [
+        "CERTIFY_SCHEMA",
+        "CHOW_ELEMENT_SCHEMA",
+        "CLASSIFICATION_SCHEMA",
+        "CLASSIFY_SCHEMA",
+        "DESCRIPTOR_SCHEMA",
+        "DUAL_SCHEMA",
+        "FANO_REPORT_SCHEMA",
+        "GENUS_REPORT_SCHEMA",
+        "INTEGRATE_SCHEMA",
+        "LINE_COUNT_SCHEMA",
+        "SECTION_REPORT_SCHEMA",
+        "SWEEP_SCHEMA",
+        "THRESHOLD_SCHEMA",
     ]
 
 
