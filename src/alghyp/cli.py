@@ -496,12 +496,14 @@ def _build_parser() -> _ArgumentParser:
         "hyperbolicity of hypersurfaces in homogeneous varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every command takes
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--json", action="store_true", help="emit JSON")
+    shared.add_argument("--out", help="write output to FILE instead of stdout")
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, parents=[shared])
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--out", help="write output to FILE instead of stdout")
         return p
 
     p = add("info", _cmd_info, "describe a variety")
@@ -525,12 +527,10 @@ def _build_parser() -> _ArgumentParser:
     ssub = ps.add_subparsers(dest="subcommand", required=True)
 
     def add_schubert(name, func):
-        q = ssub.add_parser(name)
+        q = ssub.add_parser(name, parents=[shared])
         q.set_defaults(func=func)
         q.add_argument("--k", type=integer, required=True)
         q.add_argument("--n", type=integer, required=True)
-        q.add_argument("--json", action="store_true")
-        q.add_argument("--out")
         return q
 
     q = add_schubert("mul", _cmd_schubert_mul)
@@ -567,6 +567,8 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(payload)
+    except SystemExit as stop:  # -h/--help has printed its text
+        return stop.code
     except (ValueError, OSError) as err:  # bad input, or an --out path that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,257 +1,134 @@
-"""Published JSON schemas for every report the library and CLI emit."""
+"""Published JSON schemas for every report the library and CLI emit.
 
+Every report object is a closed record: each of its fields is required,
+and no field outside the listed ones is allowed.  `_record` states that
+rule once, and every object schema here is built through it.
+"""
+
+
+def _record(**fields) -> dict:
+    """A closed JSON object whose fields, in this order, are all required."""
+    return {
+        "type": "object",
+        "required": list(fields),
+        "additionalProperties": False,
+        "properties": fields,
+    }
+
+
+def _array(items) -> dict:
+    return {"type": "array", "items": items}
+
+
+def _at_least(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum}
+
+
+_STRING = {"type": "string"}
+_INT = {"type": "integer"}
+_BOOL = {"type": "boolean"}
+_INT_OR_NULL = {"type": ["integer", "null"]}
 _COEFF = {"type": "string", "pattern": "^-?[0-9]+$"}
 _FRACTION = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
-_INT_ARRAY = {"type": "array", "items": {"type": "integer"}}
+_EPSILON = {"anyOf": [_FRACTION, {"type": "null"}]}
+_CASE = {"type": "string", "enum": ["A", "B", "C"]}
+_INT_ARRAY = _array(_INT)
+_STRINGS = _array(_STRING)
 
-CHOW_ELEMENT_SCHEMA = {
-    "type": "object",
-    "required": ["k", "n", "terms"],
-    "additionalProperties": False,
-    "properties": {
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 2},
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["partition", "coeff"],
-                "additionalProperties": False,
-                "properties": {
-                    "partition": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                    "coeff": _COEFF,
-                },
-            },
-        },
-    },
-}
+CHOW_ELEMENT_SCHEMA = _record(
+    k=_at_least(1),
+    n=_at_least(2),
+    terms=_array(_record(partition=_array(_at_least(0)), coeff=_COEFF)),
+)
 
-FANO_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["d", "N", "expansion", "missing_class_ok", "line_count"],
-    "additionalProperties": False,
-    "properties": {
-        "d": {"type": "integer", "minimum": 2},
-        "N": {"type": "integer", "minimum": 4},
-        "expansion": CHOW_ELEMENT_SCHEMA,
-        "missing_class_ok": {"type": "boolean"},
-        "line_count": {"type": ["integer", "null"]},
-    },
-}
+FANO_REPORT_SCHEMA = _record(
+    d=_at_least(2),
+    N=_at_least(4),
+    expansion=CHOW_ELEMENT_SCHEMA,
+    missing_class_ok=_BOOL,
+    line_count=_INT_OR_NULL,
+)
 
-DESCRIPTOR_SCHEMA = {
-    "type": "object",
-    "required": [
-        "name",
-        "m",
-        "D",
-        "a",
-        "hyperbolicity_threshold",
-        "lines_threshold",
-        "line_space_dimensions",
-        "factors",
-        "paper_discrepancies",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "m": {"type": "integer", "minimum": 1},
-        "D": {"type": "integer", "minimum": 1},
-        "a": {"type": "array", "items": {"type": "integer", "maximum": -2}},
-        "hyperbolicity_threshold": _INT_ARRAY,
-        "lines_threshold": _INT_ARRAY,
-        "line_space_dimensions": _INT_ARRAY,
-        "factors": {"type": "array", "items": {"type": "string"}},
-        "paper_discrepancies": {"type": "array", "items": {"type": "string"}},
-    },
-}
+DESCRIPTOR_SCHEMA = _record(
+    name=_STRING,
+    m=_at_least(1),
+    D=_at_least(1),
+    a=_array({"type": "integer", "maximum": -2}),
+    hyperbolicity_threshold=_INT_ARRAY,
+    lines_threshold=_INT_ARRAY,
+    line_space_dimensions=_INT_ARRAY,
+    factors=_STRINGS,
+    paper_discrepancies=_STRINGS,
+)
 
-CLASSIFICATION_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "witness", "boundary"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {
-            "type": "string",
-            "enum": ["Hyperbolic", "ContainsLines", "OpenGap", "LowDimension"],
-        },
-        "witness": {"type": ["integer", "null"]},
-        "boundary": _INT_ARRAY,
-    },
-}
+CLASSIFICATION_SCHEMA = _record(
+    kind={"type": "string", "enum": ["Hyperbolic", "ContainsLines", "OpenGap", "LowDimension"]},
+    witness=_INT_OR_NULL,
+    boundary=_INT_ARRAY,
+)
 
-CLASSIFY_SCHEMA = {
-    "type": "object",
-    "required": [
-        "variety",
-        "degrees",
-        "classification",
-        "epsilon",
-        "counterexamples",
-        "paper_discrepancies",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "variety": {"type": "string"},
-        "degrees": _INT_ARRAY,
-        "classification": CLASSIFICATION_SCHEMA,
-        "epsilon": {"anyOf": [_FRACTION, {"type": "null"}]},
-        "counterexamples": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["variety", "condition", "note", "citation"],
-                "additionalProperties": False,
-                "properties": {
-                    "variety": {"type": "string"},
-                    "condition": {"type": "string"},
-                    "note": {"type": "string"},
-                    "citation": {"type": "string"},
-                },
-            },
-        },
-        "paper_discrepancies": {"type": "array", "items": {"type": "string"}},
-    },
-}
+CLASSIFY_SCHEMA = _record(
+    variety=_STRING,
+    degrees=_INT_ARRAY,
+    classification=CLASSIFICATION_SCHEMA,
+    epsilon=_EPSILON,
+    counterexamples=_array(
+        _record(variety=_STRING, condition=_STRING, note=_STRING, citation=_STRING)
+    ),
+    paper_discrepancies=_STRINGS,
+)
 
-GENUS_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["variety", "degrees", "epsilon", "binding_case", "cases", "ledger_flags"],
-    "additionalProperties": False,
-    "properties": {
-        "variety": {"type": "string"},
-        "degrees": _INT_ARRAY,
-        "epsilon": {"anyOf": [_FRACTION, {"type": "null"}]},
-        "binding_case": {"type": "string", "enum": ["A", "B", "C"]},
-        "cases": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["case", "j", "coefficients"],
-                "additionalProperties": False,
-                "properties": {
-                    "case": {"type": "string", "enum": ["A", "B", "C"]},
-                    "j": {"type": ["integer", "null"]},
-                    "coefficients": {"type": "array", "items": _FRACTION},
-                },
-            },
-        },
-        "ledger_flags": {"type": "array", "items": {"type": "string"}},
-    },
-}
+GENUS_REPORT_SCHEMA = _record(
+    variety=_STRING,
+    degrees=_INT_ARRAY,
+    epsilon=_EPSILON,
+    binding_case=_CASE,
+    cases=_array(_record(case=_CASE, j=_INT_OR_NULL, coefficients=_array(_FRACTION))),
+    ledger_flags=_STRINGS,
+)
 
-THRESHOLD_SCHEMA = {
-    "type": "object",
-    "required": [
-        "variety",
-        "hyperbolicity_threshold",
-        "lines_threshold",
-        "paper_discrepancies",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "variety": {"type": "string"},
-        "hyperbolicity_threshold": _INT_ARRAY,
-        "lines_threshold": _INT_ARRAY,
-        "paper_discrepancies": {"type": "array", "items": {"type": "string"}},
-    },
-}
+THRESHOLD_SCHEMA = _record(
+    variety=_STRING,
+    hyperbolicity_threshold=_INT_ARRAY,
+    lines_threshold=_INT_ARRAY,
+    paper_discrepancies=_STRINGS,
+)
 
-CERTIFY_SCHEMA = {
-    "type": "object",
-    "required": ["variety", "degrees", "classification", "epsilon", "binding_case"],
-    "additionalProperties": False,
-    "properties": {
-        "variety": {"type": "string"},
-        "degrees": _INT_ARRAY,
-        "classification": CLASSIFICATION_SCHEMA,
-        "epsilon": {"anyOf": [_FRACTION, {"type": "null"}]},
-        "binding_case": {"type": "string", "enum": ["A", "B", "C"]},
-    },
-}
+CERTIFY_SCHEMA = _record(
+    variety=_STRING,
+    degrees=_INT_ARRAY,
+    classification=CLASSIFICATION_SCHEMA,
+    epsilon=_EPSILON,
+    binding_case=_CASE,
+)
 
-SECTION_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["entries", "all_ok"],
-    "additionalProperties": False,
-    "properties": {
-        "entries": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["n", "d", "ok", "rank", "target_dim"],
-                "additionalProperties": False,
-                "properties": {
-                    "n": {"type": "integer", "minimum": 1},
-                    "d": {"type": "integer", "minimum": 1},
-                    "ok": {"type": "boolean"},
-                    "rank": {"type": "integer", "minimum": 0},
-                    "target_dim": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "all_ok": {"type": "boolean"},
-    },
-}
+SECTION_REPORT_SCHEMA = _record(
+    entries=_array(
+        _record(
+            n=_at_least(1),
+            d=_at_least(1),
+            ok=_BOOL,
+            rank=_at_least(0),
+            target_dim=_at_least(0),
+        )
+    ),
+    all_ok=_BOOL,
+)
 
-LINE_COUNT_SCHEMA = {
-    "type": "object",
-    "required": ["n", "d", "N", "count"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 3},
-        "d": {"type": "integer", "minimum": 3},
-        "N": {"type": "integer", "minimum": 4},
-        "count": {"type": "integer"},
-    },
-}
+LINE_COUNT_SCHEMA = _record(n=_at_least(3), d=_at_least(3), N=_at_least(4), count=_INT)
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["variety", "rows"],
-    "additionalProperties": False,
-    "properties": {
-        "variety": {"type": "string"},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["degree", "classification", "epsilon"],
-                "additionalProperties": False,
-                "properties": {
-                    "degree": {"type": "integer"},
-                    "classification": CLASSIFICATION_SCHEMA,
-                    "epsilon": {"anyOf": [_FRACTION, {"type": "null"}]},
-                },
-            },
-        },
-    },
-}
+SWEEP_SCHEMA = _record(
+    variety=_STRING,
+    rows=_array(_record(degree=_INT, classification=CLASSIFICATION_SCHEMA, epsilon=_EPSILON)),
+)
 
-INTEGRATE_SCHEMA = {
-    "type": "object",
-    "required": ["k", "n", "value"],
-    "additionalProperties": False,
-    "properties": {
-        "k": {"type": "integer"},
-        "n": {"type": "integer"},
-        "value": _COEFF,
-    },
-}
+INTEGRATE_SCHEMA = _record(k=_INT, n=_INT, value=_COEFF)
 
-DUAL_SCHEMA = {
-    "type": "object",
-    "required": ["k", "n", "partition", "complement", "dual_k", "dual_partition"],
-    "additionalProperties": False,
-    "properties": {
-        "k": {"type": "integer"},
-        "n": {"type": "integer"},
-        "partition": _INT_ARRAY,
-        "complement": _INT_ARRAY,
-        "dual_k": {"type": "integer"},
-        "dual_partition": _INT_ARRAY,
-    },
-}
+DUAL_SCHEMA = _record(
+    k=_INT,
+    n=_INT,
+    partition=_INT_ARRAY,
+    complement=_INT_ARRAY,
+    dual_k=_INT,
+    dual_partition=_INT_ARRAY,
+)

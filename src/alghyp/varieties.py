@@ -260,13 +260,28 @@ def classify(variety: VarietyDescriptor, degrees) -> Classification:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """Known failure of the open boundary, keyed by canonical variety name."""
+    """Known failure of the open boundary on a product of projective
+    spaces, keyed by the dimension n of each P^n factor in order."""
 
-    variety: str
+    spaces: tuple
     condition: str
     note: str
     citation: str
     matches: callable = field(compare=False, repr=False, default=None)
+
+    @property
+    def variety(self) -> str:
+        return "x".join(f"P({n})" for n in self.spaces)
+
+    def applies_to(self, variety: VarietyDescriptor) -> bool:
+        """Whether the factors of `variety` are these P^n, in order.
+
+        Factors are compared through their numerical data (D, a) alone: by
+        Kobayashi-Ochiai a factor of dimension n and index n + 1 is P^n,
+        however it is spelled (Gr(1,n+1), Gr(n,n+1), Fl(1;n+1)).
+        """
+        factors = variety.factors or (variety,)
+        return [(f.D, f.a) for f in factors] == [(n, (-(n + 1),)) for n in self.spaces]
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,28 +298,28 @@ def _at_open_boundary(variety: VarietyDescriptor, degrees) -> bool:
 
 _COUNTEREXAMPLE_TABLE = (
     Counterexample(
-        variety="P(2)xP(2)",
+        spaces=(2, 2),
         condition="d_1 = 4 or d_2 = 4",
         note="very general surface of such degrees contains an elliptic curve",
         citation="Y22",
         matches=lambda v, d: 4 in (d[0], d[1]),
     ),
     Counterexample(
-        variety="P(2)xP(1)xP(1)",
+        spaces=(2, 1, 1),
         condition="d_1 = 4",
         note="very general surface of such degrees contains an elliptic curve",
         citation="Y22",
         matches=lambda v, d: d[0] == 4,
     ),
     Counterexample(
-        variety="P(1)xP(1)xP(1)",
+        spaces=(1, 1, 1),
         condition="some d_i = D - a_i - 3",
         note="degrees at the open boundary fail to give algebraic hyperbolicity",
         citation="CR19",
         matches=_at_open_boundary,
     ),
     Counterexample(
-        variety="P(2)xP(1)",
+        spaces=(2, 1),
         condition="some d_i = D - a_i - 3",
         note="degrees at the open boundary fail to give algebraic hyperbolicity",
         citation="CR19",
@@ -319,5 +334,5 @@ def known_counterexamples(variety: VarietyDescriptor, degrees) -> list:
     return [
         entry
         for entry in _COUNTEREXAMPLE_TABLE
-        if entry.variety == variety.name and entry.matches(variety, degrees)
+        if entry.applies_to(variety) and entry.matches(variety, degrees)
     ]

@@ -92,6 +92,18 @@ def test_shared_parser_keeps_no_state_between_calls(golden):
         assert transcript(argv) == golden[argv], argv
 
 
+@pytest.mark.parametrize("argv", (("--help",), ("info", "-h"), ("schubert", "mul", "-h")), ids=" ".join)
+def test_help_returns_0_in_process(golden, argv):
+    """-h/--help prints to stdout and returns 0 rather than raising
+    SystemExit, and leaves the shared parser fit for the next call."""
+    got = transcript(argv)
+    assert (got["exit"], got["stderr"]) == (0, "")
+    assert got["stdout"].startswith("usage: alghyp")
+    if len(argv) > 1:  # every command, schubert leaves included, documents the shared flags
+        assert "--json      emit JSON" in got["stdout"]
+    assert transcript(ALL_COMMANDS[0]) == golden[ALL_COMMANDS[0]]
+
+
 def test_parser_is_built_once_per_process(monkeypatch):
     """After a first call, the golden argv construct no ArgumentParser."""
     transcript(ALL_COMMANDS[0])

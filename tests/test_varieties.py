@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from alghyp.varieties import (
     HYPERBOLIC,
     LOW_DIMENSION,
     OPEN_GAP,
+    _COUNTEREXAMPLE_TABLE,
     VarietyDescriptor,
     classify,
     fano_lines_dimension,
@@ -263,6 +265,23 @@ class TestCounterexamples:
 
     def test_no_entry(self):
         assert known_counterexamples(grassmannian(2, 5), (9,)) == []
+
+    @pytest.mark.parametrize("entry", _COUNTEREXAMPLE_TABLE, ids=lambda e: e.variety)
+    def test_isomorphic_spellings_match(self, entry):
+        """Each factor P(n) respelled Gr(1,n+1), Gr(n,n+1) or Fl(1;n+1)
+        is the same variety and finds the same entries."""
+        spellings = [
+            (projective_space(n), grassmannian(1, n + 1), grassmannian(n, n + 1), flag((1,), n + 1))
+            for n in entry.spaces
+        ]
+        grid = list(itertools.product(range(1, 6), repeat=len(entry.spaces)))
+        canonical = product(*(s[0] for s in spellings))
+        assert canonical.name == entry.variety
+        want = [known_counterexamples(canonical, d) for d in grid]
+        assert any(entry in found for found in want)
+        for factors in itertools.product(*spellings):
+            v = product(*factors)
+            assert [known_counterexamples(v, d) for d in grid] == want, v.name
 
     def test_annotations_carry_citations(self):
         v = product(projective_space(2), projective_space(2))
