@@ -7,7 +7,7 @@ import pytest
 
 from alghyp import schemas
 from alghyp.cli import CLIError, _parse_degrees, _parse_range, main, parse_chow, parse_partition, parse_variety
-from alghyp.grassmann import Partition, RingContext
+from alghyp.grassmann import ChowElement, Partition, RingContext
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
 
@@ -270,6 +270,34 @@ PARSERS = {
     "_parse_degrees": lambda box, text: _parse_degrees(text),
     "_parse_range": lambda box, text: _parse_range(text),
 }
+
+
+# The edges of the variety and class grammars: blanks around tokens,
+# unsigned integers inside, a sign only before a term, '+' never first.
+GRAMMAR_EDGES = [
+    ("parse_variety", "Fl(4,0)", None),  # Fl needs its ';'
+    ("parse_variety", "P(-1)", None),
+    ("parse_variety", "Gr(2,5)x", None),
+    ("parse_chow", "s[-0]", None),
+    ("parse_chow", "+s[1]", None),
+    ("parse_chow", "s[1] s[1]", None),
+    ("parse_chow", "t[1]", None),
+    ("parse_variety", "Gr ( 2 , 5 )", grassmannian(2, 5)),
+    ("parse_chow", "s [ 2 , 1 ]", ChowElement(RingContext(2, 4), {Partition([2, 1]): 1})),
+    ("parse_chow", "- s[1] + 2*s[]", ChowElement(RingContext(2, 4), {Partition([1]): -1, Partition(): 2})),
+    ("parse_partition", "1*s[3,1]", Partition([3, 1])),
+    ("parse_partition", "1", Partition()),  # a bare 1 is the unit class
+]
+
+
+@pytest.mark.parametrize("entry,text,want", GRAMMAR_EDGES)
+def test_grammar_edges(entry, text, want):
+    """None marks a refused string; parse_chow reads in G(2,4)."""
+    if want is None:
+        with pytest.raises(CLIError):
+            PARSERS[entry]((2, 4), text)
+    else:
+        assert PARSERS[entry]((2, 4), text) == want
 
 
 @pytest.mark.parametrize("entry", PARSERS)
