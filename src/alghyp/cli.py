@@ -52,76 +52,39 @@ def integer(text: str) -> int:
     """
     if _INTEGER.fullmatch(text) is None:
         raise CLIError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise CLIError(f"integer {text[:8]}... of {len(text)} digits is too long") from None
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def done(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise CLIError(
-                f"expected {ch!r} at position {self.pos} in {self.text!r}"
-            )
-        self.pos += 1
-
-    def read_int(self):
-        self.skip_ws()
-        start = self.pos
-        # the run may hold non-ASCII digits, which `integer` refuses
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise CLIError(
-                f"expected integer at position {start} in {self.text!r}"
-            )
-        return integer(self.text[start:self.pos])
-
-    def read_name(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            raise CLIError(
-                f"expected a name at position {start} in {self.text!r}"
-            )
-        return self.text[start:self.pos]
+# One factor Name(args): blanks around each token, and no '(', ')' or '-'
+# inside the parentheses, so that a sign is refused rather than read
+_FACTOR = re.compile(r"\s*(\w+)\s*\(([^()-]*)\)\s*")
+# One class term: an optional sign, then [c*]s[parts] or a bare c.  The
+# blanks after the sign sit in its optional group: a run of blanks that
+# two adjacent \s* could share would backtrack quadratically.
+_TERM = re.compile(
+    r"\s*(?:(?P<sign>[+-])\s*)?"
+    r"(?:(?:(?P<coeff>[0-9]+)\s*\*\s*)?s\s*\[(?P<parts>[^\]-]*)\]|(?P<unit>[0-9]+))\s*"
+)
 
 
 def parse_variety(spec: str) -> VarietyDescriptor:
     """Parse 'Gr(2,4)xP(2)'-style variety specifications."""
-    sc = _Scanner(spec)
-    factors = [_parse_factor(sc)]
-    while not sc.done():
-        if sc.peek() == "x":
-            sc.pos += 1
-            factors.append(_parse_factor(sc))
-        else:
-            raise CLIError(
-                f"unexpected {sc.peek()!r} at position {sc.pos} in {spec!r}"
-            )
+    factors, start = [], 0
+    for piece in spec.split("x"):
+        match = _FACTOR.match(piece)
+        if match is None or match.end() < len(piece):
+            at, want = (start + match.end(), "'x'") if match else (start, "Name(args)")
+            raise CLIError(f"expected {want} at position {at} in {spec!r}")
+        factors.append(_parse_factor(match, start, spec))
+        start += len(piece) + 1
     return product(*factors)
 
 
-def _parse_factor(sc: _Scanner) -> VarietyDescriptor:
-    start = sc.pos
-    name = sc.read_name()
+def _parse_factor(match: re.Match, start: int, spec: str) -> VarietyDescriptor:
+    name, body = match.groups()
     makers = {
         "P": (1, projective_space),
         "Gr": (2, grassmannian),
@@ -131,22 +94,16 @@ def _parse_factor(sc: _Scanner) -> VarietyDescriptor:
     }
     if name not in makers:
         raise CLIError(
-            f"unknown variety name {name!r} at position {start} in {sc.text!r}"
+            f"unknown variety name {name!r} at position {start + match.start(1)} in {spec!r}"
         )
     arity, maker = makers[name]
-    sc.expect("(")
-    args = [sc.read_int()]
-    while sc.peek() == ",":
-        sc.pos += 1
-        args.append(sc.read_int())
-    if name == "Fl":
-        sc.expect(";")
-        args = [args, sc.read_int()]
-    sc.expect(")")
-    if len(args) != arity:
-        raise CLIError(
-            f"{name} takes {arity} argument(s), got {len(args)} in {sc.text!r}"
-        )
+    head, semicolon, tail = body.partition(";")
+    args = [integer(a.strip()) for a in head.split(",")]
+    if semicolon:
+        args = [args, integer(tail.strip())]
+    if len(args) != arity or bool(semicolon) != (name == "Fl"):
+        usage = "k1,...,km;n" if name == "Fl" else f"{arity} argument(s)"
+        raise CLIError(f"{name} takes {usage}, got {body!r} in {spec!r}")
     try:
         return maker(*args)
     except ValueError as err:
@@ -156,57 +113,29 @@ def _parse_factor(sc: _Scanner) -> VarietyDescriptor:
 def parse_chow(k: int, n: int, text: str) -> ChowElement:
     """Parse '3*s[2,1] + 5*s[1,1,1]'-style class expressions."""
     ctx = RingContext(k, n)
-    sc = _Scanner(text)
     terms = {}
-    sign = 1
-    first = True
-    while not sc.done():
-        if not first:
-            ch = sc.peek()
-            if ch == "+":
-                sign = 1
-            elif ch == "-":
-                sign = -1
-            else:
-                raise CLIError(
-                    f"expected '+' or '-' at position {sc.pos} in {text!r}"
-                )
-            sc.pos += 1
-        else:
-            first = False
-            if sc.peek() == "-":
-                sign = -1
-                sc.pos += 1
-        coeff, lam = _parse_chow_term(sc)
-        coeff *= sign
-        sign = 1
+    pos = 0
+    while pos == 0 or pos < len(text):
+        match = _TERM.match(text, pos)
+        # the first term may not carry '+', and every later one needs a sign
+        if match is None or match["sign"] == ("+" if pos == 0 else None):
+            want = "'+' or '-' and a term" if pos else "a term"
+            raise CLIError(f"expected {want} at position {pos} in {text!r}")
+        coeff, lam = _parse_chow_term(match)
         if not ctx.fits(lam):
             raise CLIError(f"{list(lam.parts)} does not fit the G({k},{n}) box")
-        terms[lam] = terms.get(lam, 0) + coeff
-    if first:
-        raise CLIError(f"empty class expression {text!r}")
+        terms[lam] = terms.get(lam, 0) + (-coeff if match["sign"] == "-" else coeff)
+        pos = match.end()
     return ChowElement(ctx, terms)
 
 
-def _parse_chow_term(sc: _Scanner):
-    if sc.peek().isdigit():
-        coeff = sc.read_int()
-        if sc.peek() == "*":
-            sc.pos += 1
-        else:
-            return coeff, Partition()  # bare integer: multiple of the unit
-    else:
-        coeff = 1
-    if sc.read_name() != "s":
-        raise CLIError(f"expected 's[...]' in {sc.text!r}")
-    sc.expect("[")
-    parts = []
-    if sc.peek() != "]":
-        parts.append(sc.read_int())
-        while sc.peek() == ",":
-            sc.pos += 1
-            parts.append(sc.read_int())
-    sc.expect("]")
+def _parse_chow_term(match: re.Match):
+    """The coefficient and partition of one `_TERM` match, sign left out."""
+    if match["unit"] is not None:
+        return integer(match["unit"]), Partition()  # bare integer: multiple of the unit
+    coeff = 1 if match["coeff"] is None else integer(match["coeff"])
+    body = match["parts"].strip()
+    parts = [integer(p.strip()) for p in body.split(",")] if body else []
     try:
         return coeff, Partition(parts)
     except ValueError as err:
@@ -214,11 +143,12 @@ def _parse_chow_term(sc: _Scanner):
 
 
 def parse_partition(text: str) -> Partition:
-    sc = _Scanner(text)
-    coeff, lam = _parse_chow_term(sc)
-    if not sc.done() or coeff != 1:
-        raise CLIError(f"expected a single partition expression, got {text!r}")
-    return lam
+    match = _TERM.fullmatch(text)
+    if match is not None and match["sign"] is None:
+        coeff, lam = _parse_chow_term(match)
+        if coeff == 1:
+            return lam
+    raise CLIError(f"expected a single partition expression, got {text!r}")
 
 
 def _parse_degrees(raw: str):

@@ -14,6 +14,7 @@ a discrepancy note that is surfaced in every JSON report.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -261,7 +262,8 @@ def classify(variety: VarietyDescriptor, degrees) -> Classification:
 @dataclass(frozen=True)
 class Counterexample:
     """Known failure of the open boundary on a product of projective
-    spaces, keyed by the dimension n of each P^n factor in order."""
+    spaces, keyed by the dimension n of each P^n factor; `matches` reads
+    the degrees in the order of `spaces`."""
 
     spaces: tuple
     condition: str
@@ -273,15 +275,23 @@ class Counterexample:
     def variety(self) -> str:
         return "x".join(f"P({n})" for n in self.spaces)
 
-    def applies_to(self, variety: VarietyDescriptor) -> bool:
-        """Whether the factors of `variety` are these P^n, in order.
+    def applies_to(self, variety: VarietyDescriptor, degrees: tuple) -> bool:
+        """Whether some ordering of the factors of `variety` is these P^n
+        and meets `matches`, with the degrees taken in the same order.
 
         Factors are compared through their numerical data (D, a) alone: by
         Kobayashi-Ochiai a factor of dimension n and index n + 1 is P^n,
         however it is spelled (Gr(1,n+1), Gr(n,n+1), Fl(1;n+1)).
         """
         factors = variety.factors or (variety,)
-        return [(f.D, f.a) for f in factors] == [(n, (-(n + 1),)) for n in self.spaces]
+        want = [(n, (-(n + 1),)) for n in self.spaces]
+        # the count comes first: only as many factors as the entry's (at
+        # most three) are ever permuted
+        return len(factors) == len(want) and any(
+            [(factors[i].D, factors[i].a) for i in order] == want
+            and self.matches(product(*(factors[i] for i in order)), [degrees[i] for i in order])
+            for order in itertools.permutations(range(len(factors)))
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -334,5 +344,5 @@ def known_counterexamples(variety: VarietyDescriptor, degrees) -> list:
     return [
         entry
         for entry in _COUNTEREXAMPLE_TABLE
-        if entry.applies_to(variety) and entry.matches(variety, degrees)
+        if entry.applies_to(variety, degrees)
     ]

@@ -346,6 +346,11 @@ def test_only_cli_error_escapes_the_parser(entry):
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(boxes, texts())
     @example((2, 4), "Fl(3,2;4)")  # once escaped parse_variety as a plain ValueError
+    @example((2, 4), "Fl(4,0)")  # a flag without its ';'
+    # more digits than int() converts, where the interpreter has that limit
+    @example((2, 4), "P(" + "9" * 5000 + ")")
+    @example((2, 4), "9" * 5000 + "*s[1]")
+    @example((2, 4), "9" * 5000)
     def check(box, text):
         try:
             PARSERS[entry](box, text)

@@ -268,8 +268,9 @@ class TestCounterexamples:
 
     @pytest.mark.parametrize("entry", _COUNTEREXAMPLE_TABLE, ids=lambda e: e.variety)
     def test_isomorphic_spellings_match(self, entry):
-        """Each factor P(n) respelled Gr(1,n+1), Gr(n,n+1) or Fl(1;n+1)
-        is the same variety and finds the same entries."""
+        """Each factor P(n) respelled Gr(1,n+1), Gr(n,n+1) or Fl(1;n+1),
+        and the factors taken in any order with the degrees permuted
+        alike, is the same variety and finds the same entries."""
         spellings = [
             (projective_space(n), grassmannian(1, n + 1), grassmannian(n, n + 1), flag((1,), n + 1))
             for n in entry.spaces
@@ -279,9 +280,15 @@ class TestCounterexamples:
         assert canonical.name == entry.variety
         want = [known_counterexamples(canonical, d) for d in grid]
         assert any(entry in found for found in want)
-        for factors in itertools.product(*spellings):
-            v = product(*factors)
-            assert [known_counterexamples(v, d) for d in grid] == want, v.name
+        # one order per distinct arrangement: swapping two equal factors
+        # gives the same spellings and the same grid of degrees
+        perms = itertools.permutations(range(len(entry.spaces)))
+        orders = {tuple(entry.spaces[i] for i in o): o for o in perms}
+        for order in orders.values():
+            for factors in itertools.product(*(spellings[i] for i in order)):
+                v = product(*factors)
+                got = [known_counterexamples(v, [d[i] for i in order]) for d in grid]
+                assert got == want, (v.name, order)
 
     def test_annotations_carry_citations(self):
         v = product(projective_space(2), projective_space(2))
