@@ -490,6 +490,22 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _input_error_text(err: Exception) -> str:
+    """The one-line message of an exit-1 error.
+
+    An input that parsed can still sum or multiply to an integer with more
+    digits than the interpreter converts to text.  Rendering it raises a
+    `ValueError` whose message begins "Exceeds the limit (" on every Python
+    that has the limit; that message is replaced by one naming the limit.
+    """
+    if str(err).startswith("Exceeds the limit ("):
+        return (
+            f"a result has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for printing an integer"
+        )
+    return str(err)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -500,7 +516,7 @@ def main(argv=None) -> int:
     except SystemExit as stop:  # -h/--help has printed its text
         return stop.code
     except (ValueError, OSError) as err:  # bad input, or an --out path that cannot be written
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_input_error_text(err)}", file=sys.stderr)
         return 1
     except Exception as err:  # internal invariant violation
         print(f"internal error: {err!r}", file=sys.stderr)

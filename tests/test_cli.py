@@ -152,6 +152,12 @@ class TestCommands:
             assert code == 1 and out == ""
             assert "--n" in err and "--d" in err
 
+    def test_section_dom_refuses_over_the_monomial_limit(self, capsys):
+        # C(24, 12) = 2.7 million degree-12 monomials on P^12
+        code, out, err = run_cli(capsys, "section-dom", "--n", "12", "--d", "12")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "limit of 1000000 " in err
+
     def test_exit_code_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "info", "OG(2,6)")
         assert code == 1 and out == "" and "a <= -2" in err
@@ -193,6 +199,31 @@ class TestStrictIntegers:
         code, out, err = run_cli(capsys, "classify", "P(4)", "--deg", "-1")
         assert code == 1 and out == ""
         assert err == "error: degrees must be >= 1, got (-1,)\n"
+
+
+class TestResultDigitLimit:
+    """A sum of coefficients that each parse can pass the interpreter's
+    limit for printing an integer; the render then exits 1 naming the limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schubert", "mul", "--k", "2", "--n", "4", "{c}*s[1] + {c}*s[1]"),
+            ("schubert", "mul", "--k", "2", "--n", "4", "{c}*s[1] + {c}*s[1]", "--json"),
+            ("schubert", "integrate", "--k", "2", "--n", "4", "{c}*s[2,2] + {c}*s[2,2]"),
+            ("schubert", "integrate", "--k", "2", "--n", "4", "{c}*s[2,2] + {c}*s[2,2]", "--json"),
+        ],
+    )
+    def test_refused_naming_the_limit(self, capsys, argv):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter prints integers of any length")
+        code, out, err = run_cli(capsys, *(arg.format(c="9" * limit) for arg in argv))
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: a result has more than {limit} digits,"
+            " the interpreter's limit for printing an integer\n"
+        )
 
 
 JSON_COMMANDS = [

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from alghyp import sections
 from alghyp.sections import check_projective_space, grid_report
 
 
@@ -59,8 +60,10 @@ class TestProjectiveSpaceCheck:
         assert r.ok and r.rank == comb(8, 5) - 1
 
     def test_rank_certificate_formula(self):
-        for n in range(1, 5):
-            for d in range(1, 7):
+        # covers every (n, d) of the benchmark, and the x_n^d corner, whose
+        # base-(d+1) code d (d+1)^n is the largest one
+        for n in range(1, 7):
+            for d in range(1, 9):
                 r = check_projective_space(n, d)
                 assert r.ok, (n, d)
                 assert r.rank == comb(n + d, d) - 1
@@ -75,6 +78,25 @@ class TestProjectiveSpaceCheck:
             check_projective_space(0, 2)
         with pytest.raises(ValueError):
             check_projective_space(2, 0)
+
+    def test_refuses_over_the_monomial_limit_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated monomials of a refused check")
+
+        # C(5+39, 5) is the first count past the limit along n = 5
+        limit = sections._MAX_MONOMIALS
+        assert comb(5 + 38, 5) <= limit < comb(5 + 39, 5)
+        monkeypatch.setattr(sections, "combinations_with_replacement", enumerate_nothing)
+        for n, d in ((5, 39), (39, 5), (limit, 1), (10**6, 10**6)):
+            with pytest.raises(ValueError, match=f"limit of {limit} "):
+                check_projective_space(n, d)
+
+    def test_monomial_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sections, "_MAX_MONOMIALS", comb(2 + 2, 2))
+        assert check_projective_space(2, 2).ok
+        assert check_projective_space(1, 5).ok  # also C(6, 5) = 6 monomials
+        with pytest.raises(ValueError, match="limit of 6 "):
+            check_projective_space(2, 3)
 
     def test_json_shape(self):
         data = check_projective_space(2, 3).to_json_dict()
