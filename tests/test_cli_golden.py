@@ -1,8 +1,9 @@
 """Golden CLI transcripts: stdout, stderr and exit code, byte for byte.
 
 `tests/golden/cli.json` pins the 16 acceptance commands, one text-mode
-command for each epsilon and classification rendering path, and one
-refusal (exit 1) per command that checks a library precondition.
+command for each epsilon and classification rendering path, one
+refusal (exit 1) per command that checks a library precondition, and one
+`info` refusal per catalog gate (argument range, D >= 1, a <= -2).
 `tests/golden/schemas.json` pins the `json.dumps` text of every published
 `*_SCHEMA` in `alghyp.schemas`, key order included.
 Regenerating either file changes pinned behaviour; to do it on purpose, run
@@ -47,6 +48,13 @@ REFUSALS = (
     ("certify", "P(3)", "--deg", "4,5"),
     ("section-dom", "--n", "0", "--d", "2"),
     ("sweep", "P(3)", "--range", "0..2"),
+    ("info", "OG(2,6)"),
+    ("info", "SG(3,8)"),
+    ("info", "OG(3,5)"),
+    ("info", "Gr(3,3)"),
+    ("info", "P(0)"),
+    ("info", "Fl(2,2;5)"),
+    ("info", "Fl(1,5;5)"),
 )
 
 
