@@ -158,6 +158,10 @@ def _parse_degrees(raw: str):
         raise CLIError(f"bad degree list {raw!r}: expected d1,d2,...") from err
 
 
+# The most degrees one `sweep` evaluates (about 0.13 ms of work each).
+_MAX_SWEEP_ROWS = 10_000
+
+
 def _parse_range(raw: str):
     lo, sep, hi = raw.partition("..")
     if not sep:
@@ -168,6 +172,8 @@ def _parse_range(raw: str):
         raise CLIError(f"bad range {raw!r}: expected lo..hi") from err
     if hi < lo:
         raise CLIError(f"bad range {raw!r}: empty")
+    if hi - lo >= _MAX_SWEEP_ROWS:
+        raise CLIError(f"bad range {raw!r}: more than {_MAX_SWEEP_ROWS} degrees")
     return lo, hi
 
 

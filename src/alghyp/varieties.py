@@ -1,11 +1,16 @@
 """Catalog of homogeneous varieties and the degree-threshold classification.
 
-A variety enters the catalog through its numerical data only: Picard rank
-m, dimension D, and the canonical coefficients a_i (K = sum a_i H_i).
-Every threshold then derives uniformly from (D, a): hypersurfaces of
-multidegree d are algebraically hyperbolic once d_i >= D - a_i - 2 for
-all i, contain lines once d_i <= D - a_i - 4 for some i, and the single
-remaining value d_i = D - a_i - 3 is the open boundary.
+A variety enters the catalog through its numerical data only: dimension D
+and the canonical coefficients a_i (K = sum a_i H_i), one per generator of
+the Picard group, so the Picard rank m is the length of a.  Every threshold
+then derives uniformly from (D, a): hypersurfaces of multidegree d are
+algebraically hyperbolic once d_i >= D - a_i - 2 for all i, contain lines
+once d_i <= D - a_i - 4 for some i, and the single remaining value
+d_i = D - a_i - 3 is the open boundary.
+
+(D, a) is derived in two places: `_type_a` for P, Gr and Fl, and
+`_isotropic` for OG and SG.  `VarietyDescriptor` holds the only gates on
+the result (D >= 1, every a_i <= -2).
 
 Where a classical family statement disagrees with the uniform thresholds
 (the symplectic bound, the flag dimension display), the descriptor carries
@@ -14,33 +19,34 @@ a discrepancy note that is surfaced in every JSON report.
 
 from __future__ import annotations
 
-import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class VarietyDescriptor:
-    """Numerical descriptor: Picard rank m, dimension D, canonical
-    coefficients a (all <= -2), and factor provenance for products."""
+    """Numerical descriptor: dimension D, canonical coefficients a (all
+    <= -2, one per Picard generator), and factor provenance for products."""
 
     name: str
-    m: int
     D: int
     a: tuple
     factors: tuple = ()
     notes: tuple = ()
 
     def __post_init__(self):
-        if self.m < 1 or len(self.a) != self.m:
+        if not self.a:
             raise ValueError(f"{self.name}: need m >= 1 canonical coefficients")
         if self.D < 1:
-            raise ValueError(f"{self.name}: dimension must be >= 1, got {self.D}")
-        for i, ai in enumerate(self.a):
+            raise ValueError(f"{self.name}: dimension {self.D} violates D >= 1")
+        for ai in self.a:
             if ai > -2:
-                raise ValueError(
-                    f"{self.name}: canonical coefficient a_{i + 1} = {ai} violates a_i <= -2"
-                )
+                raise ValueError(f"{self.name}: canonical coefficient {ai} violates a <= -2")
+
+    @property
+    def m(self) -> int:
+        """Picard rank: the number of canonical coefficients."""
+        return len(self.a)
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,12 +64,21 @@ class VarietyDescriptor:
         }
 
 
+def _type_a(ks: tuple, n: int) -> tuple:
+    """(D, a) of the variety of flags of dimensions ks in n-space: with
+    k_0 = 0 and k_(m+1) = n, D = sum k_i (k_(i+1) - k_i) and
+    a_i = -(k_(i+1) - k_(i-1))."""
+    ext = (0, *ks, n)
+    D = sum(ext[i] * (ext[i + 1] - ext[i]) for i in range(1, len(ext) - 1))
+    return D, tuple(-(ext[i + 2] - ext[i]) for i in range(len(ks)))
+
+
 def grassmannian(k: int, n: int) -> VarietyDescriptor:
     """G(k, n): dimension k(n-k), canonical coefficient -n."""
     k, n = _integers((k, n), "Gr: k and n")
     if not 1 <= k < n:
         raise ValueError(f"Gr({k},{n}): need 1 <= k < n")
-    return VarietyDescriptor(name=f"Gr({k},{n})", m=1, D=k * (n - k), a=(-n,))
+    return VarietyDescriptor(f"Gr({k},{n})", *_type_a((k,), n))
 
 
 def projective_space(n: int) -> VarietyDescriptor:
@@ -71,28 +86,25 @@ def projective_space(n: int) -> VarietyDescriptor:
     (n,) = _integers((n,), "P: n")
     if n < 1:
         raise ValueError(f"P({n}): need n >= 1")
-    return VarietyDescriptor(name=f"P({n})", m=1, D=n, a=(-(n + 1),))
+    return VarietyDescriptor(f"P({n})", *_type_a((1,), n + 1))
+
+
+def _isotropic(family: str, k: int, n: int, e: int, notes: tuple = ()) -> VarietyDescriptor:
+    """k-planes isotropic for a form of sign e (-1 orthogonal, +1
+    symplectic) in n-space: D = k(2n-3k+e)/2 and a = -n+3k-(3+e)/2.
+
+    k(2n-3k+e) is congruent to k(k+1) mod 2, so D is always an integer;
+    the descriptor refuses D < 1 and a > -2.
+    """
+    k, n = _integers((k, n), f"{family}: k and n")
+    return VarietyDescriptor(
+        f"{family}({k},{n})", k * (2 * n - 3 * k + e) // 2, (-n + 3 * k - (3 + e) // 2,), notes=notes
+    )
 
 
 def orthogonal(k: int, n: int) -> VarietyDescriptor:
-    """OG(k, n): dimension k(2n-3k-1)/2, canonical coefficient -n+3k-1.
-
-    Parameters are accepted only when the dimension is a positive integer
-    and the canonical coefficient satisfies a <= -2.
-    """
-    k, n = _integers((k, n), "OG: k and n")
-    twice_d = k * (2 * n - 3 * k - 1)
-    if twice_d % 2 != 0:
-        raise ValueError(f"OG({k},{n}): dimension k(2n-3k-1)/2 is not an integer")
-    d = twice_d // 2
-    if d < 1:
-        raise ValueError(f"OG({k},{n}): dimension {d} violates D >= 1")
-    a = -n + 3 * k - 1
-    if a > -2:
-        raise ValueError(
-            f"OG({k},{n}): canonical coefficient {a} violates a <= -2"
-        )
-    return VarietyDescriptor(name=f"OG({k},{n})", m=1, D=d, a=(a,))
+    """OG(k, n): dimension k(2n-3k-1)/2, canonical coefficient -n+3k-1."""
+    return _isotropic("OG", k, n, -1)
 
 
 _SYMPLECTIC_NOTE = (
@@ -103,21 +115,7 @@ _SYMPLECTIC_NOTE = (
 
 def symplectic(k: int, n: int) -> VarietyDescriptor:
     """SG(k, n): dimension k(2n-3k+1)/2, canonical coefficient -n+3k-2."""
-    k, n = _integers((k, n), "SG: k and n")
-    twice_d = k * (2 * n - 3 * k + 1)
-    if twice_d % 2 != 0:
-        raise ValueError(f"SG({k},{n}): dimension k(2n-3k+1)/2 is not an integer")
-    d = twice_d // 2
-    if d < 1:
-        raise ValueError(f"SG({k},{n}): dimension {d} violates D >= 1")
-    a = -n + 3 * k - 2
-    if a > -2:
-        raise ValueError(
-            f"SG({k},{n}): canonical coefficient {a} violates a <= -2"
-        )
-    return VarietyDescriptor(
-        name=f"SG({k},{n})", m=1, D=d, a=(a,), notes=(_SYMPLECTIC_NOTE,)
-    )
+    return _isotropic("SG", k, n, 1, notes=(_SYMPLECTIC_NOTE,))
 
 
 _FLAG_DIM_NOTE = (
@@ -131,28 +129,20 @@ _FLAG_LINE_NOTE = (
 
 
 def flag(ks, n: int) -> VarietyDescriptor:
-    """Flag variety of nested subspaces of dimensions ks inside n-space.
-
-    With k_0 = 0 and k_(m+1) = n: a_i = -(k_(i+1) - k_(i-1)) and
-    D = sum k_i (k_(i+1) - k_i).
-    """
+    """Flag variety of nested subspaces of dimensions ks inside n-space;
+    (D, a) as in `_type_a`."""
     ks = _integers(ks, "Fl: subspace dimensions")
     (n,) = _integers((n,), "Fl: n")
     if not ks:
         raise ValueError("Fl: need at least one subspace dimension")
+    name = f"Fl({','.join(map(str, ks))};{n})"
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)) or ks[0] < 1 or ks[-1] >= n:
-        raise ValueError(f"Fl({','.join(map(str, ks))};{n}): need 0 < k_1 < ... < k_m < n")
-    m = len(ks)
-    ext = (0,) + ks + (n,)
-    a = tuple(-(ext[i + 2] - ext[i]) for i in range(m))
-    d = sum(ext[i] * (ext[i + 1] - ext[i]) for i in range(1, m + 1))
-    stated = sum(ext[i + 1] * (ext[i + 1] - ext[i]) for i in range(m + 1))
-    notes = [_FLAG_LINE_NOTE]
-    if stated != d:
-        notes.insert(0, _FLAG_DIM_NOTE.format(stated=stated, used=d))
-    return VarietyDescriptor(
-        name=f"Fl({','.join(map(str, ks))};{n})", m=m, D=d, a=a, notes=tuple(notes)
-    )
+        raise ValueError(f"{name}: need 0 < k_1 < ... < k_m < n")
+    D, a = _type_a(ks, n)
+    ext = (0, *ks, n)
+    stated = sum(ext[i + 1] * (ext[i + 1] - ext[i]) for i in range(len(ks) + 1))
+    dim_note = () if stated == D else (_FLAG_DIM_NOTE.format(stated=stated, used=D),)
+    return VarietyDescriptor(name, D, a, notes=(*dim_note, _FLAG_LINE_NOTE))
 
 
 def product(*varieties: VarietyDescriptor) -> VarietyDescriptor:
@@ -161,21 +151,12 @@ def product(*varieties: VarietyDescriptor) -> VarietyDescriptor:
         raise ValueError("product needs at least one factor")
     if len(varieties) == 1:
         return varieties[0]
-    factors = []
-    for v in varieties:
-        factors.extend(v.factors or (v,))
-    notes = []
-    for v in varieties:
-        for note in v.notes:
-            if note not in notes:
-                notes.append(note)
     return VarietyDescriptor(
         name="x".join(v.name for v in varieties),
-        m=sum(v.m for v in varieties),
         D=sum(v.D for v in varieties),
         a=tuple(ai for v in varieties for ai in v.a),
-        factors=tuple(factors),
-        notes=tuple(notes),
+        factors=tuple(f for v in varieties for f in v.factors or (v,)),
+        notes=tuple(dict.fromkeys(note for v in varieties for note in v.notes)),
     )
 
 
@@ -262,35 +243,31 @@ def classify(variety: VarietyDescriptor, degrees) -> Classification:
 @dataclass(frozen=True)
 class Counterexample:
     """Known failure of the open boundary on a product of projective
-    spaces, keyed by the dimension n of each P^n factor; `matches` reads
-    the degrees in the order of `spaces`."""
+    spaces, keyed by the dimension n of each P^n factor in descending
+    order; the rule of its `citation` in `_RULES` reads the degrees."""
 
     spaces: tuple
     condition: str
     note: str
     citation: str
-    matches: callable = field(compare=False, repr=False, default=None)
 
     @property
     def variety(self) -> str:
         return "x".join(f"P({n})" for n in self.spaces)
 
     def applies_to(self, variety: VarietyDescriptor, degrees: tuple) -> bool:
-        """Whether some ordering of the factors of `variety` is these P^n
-        and meets `matches`, with the degrees taken in the same order.
+        """Whether the factors of `variety`, in any order, are these P^n
+        and the degrees meet the entry's rule.
 
         Factors are compared through their numerical data (D, a) alone: by
         Kobayashi-Ochiai a factor of dimension n and index n + 1 is P^n,
         however it is spelled (Gr(1,n+1), Gr(n,n+1), Fl(1;n+1)).
         """
         factors = variety.factors or (variety,)
-        want = [(n, (-(n + 1),)) for n in self.spaces]
-        # the count comes first: only as many factors as the entry's (at
-        # most three) are ever permuted
-        return len(factors) == len(want) and any(
-            [(factors[i].D, factors[i].a) for i in order] == want
-            and self.matches(product(*(factors[i] for i in order)), [degrees[i] for i in order])
-            for order in itertools.permutations(range(len(factors)))
+        return (
+            all(f.a == (-(f.D + 1),) for f in factors)
+            and tuple(sorted((f.D for f in factors), reverse=True)) == self.spaces
+            and _RULES[self.citation](variety, degrees)
         )
 
     def to_json_dict(self) -> dict:
@@ -302,39 +279,22 @@ class Counterexample:
         }
 
 
-def _at_open_boundary(variety: VarietyDescriptor, degrees) -> bool:
-    return any(d == fano_lines_dimension(variety, i) for i, d in enumerate(degrees))
+# Each rule pairs every degree with the factor it belongs to, so neither
+# depends on the order of the factors.
+_RULES = {
+    # a P^2 factor of degree 4
+    "Y22": lambda v, degrees: any(f.D == 2 and d == 4 for f, d in zip(v.factors, degrees)),
+    # some degree at the open boundary
+    "CR19": lambda v, degrees: any(d == fano_lines_dimension(v, i) for i, d in enumerate(degrees)),
+}
 
-
+_ELLIPTIC = "very general surface of such degrees contains an elliptic curve"
+_BOUNDARY = "degrees at the open boundary fail to give algebraic hyperbolicity"
 _COUNTEREXAMPLE_TABLE = (
-    Counterexample(
-        spaces=(2, 2),
-        condition="d_1 = 4 or d_2 = 4",
-        note="very general surface of such degrees contains an elliptic curve",
-        citation="Y22",
-        matches=lambda v, d: 4 in (d[0], d[1]),
-    ),
-    Counterexample(
-        spaces=(2, 1, 1),
-        condition="d_1 = 4",
-        note="very general surface of such degrees contains an elliptic curve",
-        citation="Y22",
-        matches=lambda v, d: d[0] == 4,
-    ),
-    Counterexample(
-        spaces=(1, 1, 1),
-        condition="some d_i = D - a_i - 3",
-        note="degrees at the open boundary fail to give algebraic hyperbolicity",
-        citation="CR19",
-        matches=_at_open_boundary,
-    ),
-    Counterexample(
-        spaces=(2, 1),
-        condition="some d_i = D - a_i - 3",
-        note="degrees at the open boundary fail to give algebraic hyperbolicity",
-        citation="CR19",
-        matches=_at_open_boundary,
-    ),
+    Counterexample((2, 2), "d_1 = 4 or d_2 = 4", _ELLIPTIC, "Y22"),
+    Counterexample((2, 1, 1), "d_1 = 4", _ELLIPTIC, "Y22"),
+    Counterexample((1, 1, 1), "some d_i = D - a_i - 3", _BOUNDARY, "CR19"),
+    Counterexample((2, 1), "some d_i = D - a_i - 3", _BOUNDARY, "CR19"),
 )
 
 

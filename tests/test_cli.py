@@ -101,6 +101,23 @@ class TestCommands:
         kinds = [line.split()[1] for line in out.strip().splitlines()]
         assert kinds == ["ContainsLines", "OpenGap", "Hyperbolic", "Hyperbolic"]
 
+    def test_sweep_width_is_bounded(self, capsys, monkeypatch):
+        """A range one degree wider than the limit is refused before any
+        verdict is computed; a range at the limit parses."""
+        from alghyp import cli
+
+        assert _parse_range(f"7..{7 + cli._MAX_SWEEP_ROWS - 1}") == (7, 7 + cli._MAX_SWEEP_ROWS - 1)
+
+        def no_verdict(*args):
+            raise AssertionError("a verdict was computed")
+
+        monkeypatch.setattr(cli, "_verdict", no_verdict)
+        for argv in (["sweep", "P(4)", "--range", f"1..{cli._MAX_SWEEP_ROWS + 1}"],
+                     ["sweep", "P(4)", f"--range=-5..{cli._MAX_SWEEP_ROWS - 5}", "--json"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1 and f"more than {cli._MAX_SWEEP_ROWS} degrees" in err
+
     def test_line_count(self, capsys):
         code, out, _ = run_cli(capsys, "line-count", "--n", "3")
         assert code == 0 and out == "27\n"

@@ -47,9 +47,18 @@ class TestConstructors:
             grassmannian(3, 3)
 
     def test_projective_space_is_rank_one_grassmannian(self):
-        for n in range(1, 8):
-            p, g = projective_space(n), grassmannian(1, n + 1)
-            assert (p.D, p.a) == (g.D, g.a)
+        """P, Gr and one-step Fl spell the same type-A data: Gr(k,n),
+        its dual Gr(n-k,n) and Fl(k;n) agree, and P(n) is Fl(1;n+1)."""
+        def data(v):
+            return (v.m, v.D, v.a)
+
+        for n in range(2, 10):
+            for k in range(1, n):
+                g = data(grassmannian(k, n))
+                assert data(grassmannian(n - k, n)) == g == data(flag((k,), n)), (k, n)
+        for n in range(1, 9):
+            p = data(projective_space(n))
+            assert p == data(flag((1,), n + 1)) == data(grassmannian(1, n + 1)) == (1, n, (-(n + 1),))
 
     def test_orthogonal(self):
         v = orthogonal(2, 7)
@@ -129,11 +138,12 @@ class TestConstructors:
 
     def test_descriptor_invariants(self):
         with pytest.raises(ValueError):
-            VarietyDescriptor(name="bad", m=1, D=3, a=(-1,))
+            VarietyDescriptor(name="bad", D=3, a=(-1,))
         with pytest.raises(ValueError):
-            VarietyDescriptor(name="bad", m=1, D=0, a=(-3,))
+            VarietyDescriptor(name="bad", D=0, a=(-3,))
         with pytest.raises(ValueError):
-            VarietyDescriptor(name="bad", m=2, D=3, a=(-3,))
+            VarietyDescriptor(name="bad", D=3, a=())
+        assert VarietyDescriptor(name="ok", D=3, a=(-3, -4)).m == 2
 
 
 class TestThresholds:
