@@ -6,7 +6,16 @@ import jsonschema
 import pytest
 
 from alghyp import schemas
-from alghyp.cli import CLIError, _parse_degrees, _parse_range, main, parse_chow, parse_partition, parse_variety
+from alghyp.cli import (
+    _MAX_SWEEP_ROWS,
+    CLIError,
+    _parse_degrees,
+    _parse_range,
+    main,
+    parse_chow,
+    parse_partition,
+    parse_variety,
+)
 from alghyp.grassmann import ChowElement, Partition, RingContext
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
@@ -104,19 +113,17 @@ class TestCommands:
     def test_sweep_width_is_bounded(self, capsys, monkeypatch):
         """A range one degree wider than the limit is refused before any
         verdict is computed; a range at the limit parses."""
-        from alghyp import cli
-
-        assert _parse_range(f"7..{7 + cli._MAX_SWEEP_ROWS - 1}") == (7, 7 + cli._MAX_SWEEP_ROWS - 1)
+        assert _parse_range(f"7..{7 + _MAX_SWEEP_ROWS - 1}") == (7, 7 + _MAX_SWEEP_ROWS - 1)
 
         def no_verdict(*args):
             raise AssertionError("a verdict was computed")
 
-        monkeypatch.setattr(cli, "_verdict", no_verdict)
-        for argv in (["sweep", "P(4)", "--range", f"1..{cli._MAX_SWEEP_ROWS + 1}"],
-                     ["sweep", "P(4)", f"--range=-5..{cli._MAX_SWEEP_ROWS - 5}", "--json"]):
+        monkeypatch.setattr("alghyp.cli._verdict", no_verdict)
+        for argv in (["sweep", "P(4)", "--range", f"1..{_MAX_SWEEP_ROWS + 1}"],
+                     ["sweep", "P(4)", f"--range=-5..{_MAX_SWEEP_ROWS - 5}", "--json"]):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
-            assert err.count("\n") == 1 and f"more than {cli._MAX_SWEEP_ROWS} degrees" in err
+            assert err.count("\n") == 1 and f"more than {_MAX_SWEEP_ROWS} degrees" in err
 
     def test_line_count(self, capsys):
         code, out, _ = run_cli(capsys, "line-count", "--n", "3")
