@@ -114,9 +114,10 @@ def paired_rearrangement(d: int, N: int | None = None) -> ChowElement:
     ctx = RingContext(2, N)
     s1 = make_class(ctx, Partition((1,)))
     s11 = make_class(ctx, Partition((1, 1)))
+    s1_squared = multiply(s1, s1)
     acc = (d * d) * s11
     for i in range(1, d // 2):
-        factor = (i * (d - i)) * multiply(s1, s1) + ((d - 2 * i) ** 2) * s11
+        factor = (i * (d - i)) * s1_squared + ((d - 2 * i) ** 2) * s11
         acc = multiply(acc, factor)
     return multiply(acc, (d // 2) * s1)
 

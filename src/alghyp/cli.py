@@ -512,9 +512,24 @@ def _input_error_text(err: Exception) -> str:
     return str(err)
 
 
+# argparse reads a value that starts with '-' and is not a plain number as
+# a flag; joined to its flag (`--range=-5..3`), such a value reaches its check.
+_SIGNED_VALUE = re.compile(r"-[0-9]")
+
+
+def _attach_signed_values(argv) -> list:
+    out = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if out and out[-1] in ("--range", "--deg") and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_signed_values(argv))
         payload = args.func(args) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

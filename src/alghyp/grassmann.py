@@ -6,9 +6,10 @@ content factor is added as a horizontal strip of one letter, kept only
 while the reverse reading word is a lattice word, and partial fillings
 with the same shape and the same row counts of the last letter are
 merged.  A single-column content term 1^p, sigma_1 included, is one
-vertical strip.  There are no signs, no cancellation and no cache.  An
-independent Schur-polynomial oracle lives in the tests.  All
-coefficients are Python ints (arbitrary precision); inputs that are not
+vertical strip.  There are no signs and no cache, and every product
+term passes through the validating `Partition` and `ChowElement`
+constructors.  An independent Schur-polynomial oracle lives in the
+tests.  All coefficients are Python ints (arbitrary precision); inputs that are not
 integers are rejected, not truncated.  All values are immutable after
 construction, and every operation is a pure function.
 """
@@ -39,9 +40,9 @@ class Partition:
             raise ValueError(f"partition parts must be integers, got {parts!r}") from None
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        if any(p < 0 for p in parts):
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts not weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -128,15 +129,17 @@ class ChowElement:
 
     def __init__(self, context: RingContext, terms=None):
         clean = {}
+        k, width = context.k, context.n - context.k
         for lam, c in (terms or {}).items():
-            lam = _as_partition(lam)
+            lam = lam if isinstance(lam, Partition) else Partition(lam)
             try:
                 c = operator.index(c)
             except TypeError:
                 raise ValueError(f"coefficient of {lam!r} must be an integer, got {c!r}") from None
             if c == 0:
                 continue
-            if not context.fits(lam):
+            parts = lam.parts
+            if len(parts) > k or (parts and parts[0] > width):
                 raise ValueError(f"{lam!r} does not fit the {context} box")
             clean[lam] = c
         object.__setattr__(self, "context", context)
@@ -228,32 +231,34 @@ def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
     `terms` yields (parts, coeff) with trimmed int tuples; the result maps
     trimmed tuples mu to summed coefficients.  A vertical strip puts at
     most one box in each row (mu_i <= lam_i + 1, mu weakly decreasing), and
-    mu stays inside the k x width box.  Rows are filled top down; `room[i]`
-    counts the rows i.. that can still grow, so hardly any prefix is a dead
-    end.
+    mu stays inside the k x width box.  The full rows take no box; the
+    other rows are filled top down with two choices each: no box, while
+    the rows below can take the boxes left, or one box, while the row
+    stays below the row above.  Hardly any prefix is a dead end, and
+    `multiply` validates every emitted shape.
     """
     out = {}
+    get = out.get
     for lam, c in terms:
-        rows = min(k, len(lam) + p)
+        rows = k if len(lam) + p > k else len(lam) + p
         base = lam + (0,) * (rows - len(lam))
-        room = [0] * (rows + 1)
-        for i in range(rows - 1, -1, -1):
-            room[i] = room[i + 1] + (base[i] < width)
-        if room[0] < p:
+        full = base.count(width)
+        if rows - full < p:
             continue
-        partial = [((), p)]
-        for i in range(rows):
+        partial = [(base[:full], p)]
+        for i in range(full, rows):
             b = base[i]
+            tail = lam[i + 1:]
             nxt = []
             for prefix, left in partial:
-                top = min(b + 1, prefix[-1] if i else width)
-                for m in range(max(b, b + left - room[i + 1]), min(top, b + left) + 1):
-                    rest = left - (m - b)
-                    if rest:
-                        nxt.append((prefix + (m,), rest))
+                if left < rows - i:
+                    nxt.append((prefix + (b,), left))
+                if b < (prefix[-1] if i else width):
+                    if left > 1:
+                        nxt.append((prefix + (b + 1,), left - 1))
                     else:
-                        mu = prefix + (m,) + lam[i + 1:]
-                        out[mu] = out.get(mu, 0) + c
+                        mu = prefix + (b + 1,) + tail
+                        out[mu] = get(mu, 0) + c
             partial = nxt
             if not partial:
                 break
@@ -268,33 +273,38 @@ def _lr_stage(states: dict, m: int, k: int, width: int) -> dict:
     last[r] boxes of row r (`last` is None before the first letter).  The
     reverse reading word must stay a lattice word: the new letter's boxes
     in rows <= r number at most the last letter's boxes in rows < r.  The
-    shape stays inside the k x width box, and `room[r]` bounds what rows
-    r.. can still take.  Fillings that reach the same shape with the same
-    row counts of the new letter are merged.
+    shape stays inside the k x width box: row r takes at most the row
+    above minus itself, and rows r+1.. at most row r minus the bottom row.
+    Fillings that reach the same shape with the same row counts of the new
+    letter are merged, and `multiply` validates every final shape.
     """
     out = {}
+    get = out.get
     for (nu, last), c in states.items():
-        rows = min(k, len(nu) + 1)
+        rows = k if len(nu) >= k else len(nu) + 1
         base = nu + (0,) * (rows - len(nu))
-        cap = [(base[r - 1] if r else width) - base[r] for r in range(rows)]
-        room = [0] * (rows + 1)
-        for r in range(rows - 1, -1, -1):
-            room[r] = room[r + 1] + cap[r]
-        if room[0] < m:
+        low = base[-1]
+        if width - low < m:
             continue
         prev = (0,) * rows if last is None else last + (0,) * (rows - len(last))
-        # (counts of the new letter in rows < r, boxes left, lattice slack)
-        partial = [((), m, m if last is None else 0)]
+        # (grown shape and new-letter counts of rows < r, boxes left, lattice slack)
+        partial = [((), (), m, m if last is None else 0)]
+        above = width
         for r in range(rows):
+            b, gain, tail = base[r], prev[r], nu[r + 1:]
+            top, after = above - b, b - low
+            above = b
             nxt = []
-            for counts, left, slack in partial:
-                for a in range(max(0, left - room[r + 1]), min(cap[r], left, slack) + 1):
-                    grown = counts + (a,)
+            for shape, counts, left, slack in partial:
+                hi = top if top < left else left
+                if slack < hi:
+                    hi = slack
+                for a in range(left - after if left > after else 0, hi + 1):
                     if a < left:
-                        nxt.append((grown, left - a, slack - a + prev[r]))
+                        nxt.append((shape + (b + a,), counts + (a,), left - a, slack - a + gain))
                     else:
-                        key = (tuple(map(operator.add, base, grown)) + nu[r + 1:], grown)
-                        out[key] = out.get(key, 0) + c
+                        key = (shape + (b + a,) + tail, counts + (a,))
+                        out[key] = get(key, 0) + c
             partial = nxt
             if not partial:
                 break
@@ -305,30 +315,34 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     """Chow ring product by the Littlewood-Richardson rule.
 
     The content is the factor whose longest term has fewer rows.  Each of
-    its terms mu is applied to every term of the other factor at once:
-    row mu_i becomes a horizontal strip of the letter i (`_lr_stage`),
-    kept only while the reverse reading word is a lattice word, so the
-    surviving fillings count the coefficients c^nu_{lam,mu} with no signs
-    and no cancellation.  A single-column term 1^p (sigma_1 included) is
-    one vertical strip.
-    Shapes that leave the k x (n-k) box are dropped as they appear.
+    its terms mu is applied to every term of the other factor at once,
+    scaled by the coefficient of mu: row mu_i becomes a horizontal strip
+    of the letter i (`_lr_stage`), kept only while the reverse reading
+    word is a lattice word, so the surviving fillings count the
+    coefficients c^nu_{lam,mu} with no signs.  A single-column term 1^p
+    (sigma_1 included) is one vertical strip.  Shapes that leave the
+    k x (n-k) box are dropped as they appear; the sum over the content
+    terms can cancel, and zero terms are dropped by `ChowElement`.
     """
     x._check_context(y)
     ctx = x.context
+    k, width = ctx.k, ctx.width
     if max(map(len, x.terms), default=0) < max(map(len, y.terms), default=0):
         x, y = y, x
     base = [(lam.parts, c) for lam, c in x.terms.items()]
     out = {}
+    get = out.get
     for mu, cy in y.terms.items():
+        scaled = [(lam, cy * c) for lam, c in base]
         if mu.parts[:1] == (1,):
-            prod = _vertical_strips(base, len(mu), ctx.k, ctx.width).items()
-        else:
-            states = {(lam, None): c for lam, c in base}
-            for m in mu:
-                states = _lr_stage(states, m, ctx.k, ctx.width)
-            prod = ((nu, c) for (nu, _), c in states.items())
-        for nu, c in prod:
-            out[nu] = out.get(nu, 0) + cy * c
+            for nu, c in _vertical_strips(scaled, len(mu), k, width).items():
+                out[nu] = get(nu, 0) + c
+            continue
+        states = {(lam, None): c for lam, c in scaled}
+        for m in mu.parts:
+            states = _lr_stage(states, m, k, width)
+        for (nu, _), c in states.items():
+            out[nu] = get(nu, 0) + c
     return ChowElement(ctx, {Partition(nu): c for nu, c in out.items()})
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import alghyp.chern as chern
+import alghyp.grassmann as grassmann
 from alghyp.chern import fano_class, line_count, paired_rearrangement, top_chern_sym
 from alghyp.grassmann import Partition, RingContext, make_class, multiply
 from alghyp.sections import check_projective_space
@@ -116,6 +118,35 @@ class TestPairedRearrangement:
     def test_route_equality(self):
         for d in range(2, 21, 2):
             assert paired_rearrangement(d) == top_chern_sym(d, d + 3), d
+
+    def test_work_counts(self, monkeypatch):
+        # s1 * s1 is one product before the loop; each factor
+        # i(d-i) s1^2 + (d-2i)^2 s11 is one product with one LR stage (its
+        # s[2] term) and one vertical strip (its s[1,1] term); the closing
+        # (d/2) s1 is one more strip.  `chern.multiply` is the binding the
+        # paired route calls.
+        calls = {}
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(chern, "multiply")
+        count(grassmann, "_lr_stage")
+        count(grassmann, "_vertical_strips")
+        for d in range(2, 61, 2):
+            calls.update(multiply=0, _lr_stage=0, _vertical_strips=0)
+            paired_rearrangement(d)
+            assert calls == {
+                "multiply": d // 2 + 1,
+                "_lr_stage": d // 2 - 1,
+                "_vertical_strips": d // 2 + 1,
+            }, d
 
     def test_rejects_small_box(self):
         with pytest.raises(ValueError, match="N must be >= 4"):

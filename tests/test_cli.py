@@ -125,6 +125,18 @@ class TestCommands:
             assert (code, out) == (1, "")
             assert err.count("\n") == 1 and f"more than {_MAX_SWEEP_ROWS} degrees" in err
 
+    def test_negative_value_reaches_its_check(self, capsys):
+        """A --range or --deg value that starts with '-' is read as the
+        value in both spellings, not as a flag; a real flag still is one."""
+        for spelled in (["--range", "-5..3"], ["--range=-5..3"]):
+            assert run_cli(capsys, "sweep", "P(4)", *spelled) == (
+                1, "", "error: degrees must be >= 1, got (-5,)\n")
+        for spelled in (["--deg", "-5,3"], ["--deg=-5,3"]):
+            assert run_cli(capsys, "classify", "P(4)", *spelled) == (
+                1, "", "error: P(4) has 1 degree slots, got 2\n")
+        assert run_cli(capsys, "sweep", "P(4)", "--range", "--json") == (
+            1, "", "error: argument --range: expected one argument\n")
+
     def test_line_count(self, capsys):
         code, out, _ = run_cli(capsys, "line-count", "--n", "3")
         assert code == 0 and out == "27\n"

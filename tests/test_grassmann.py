@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import alghyp.grassmann as grassmann
+from alghyp.chern import top_chern_sym
 from alghyp.grassmann import (
     ChowElement,
     Partition,
@@ -15,6 +16,7 @@ from alghyp.grassmann import (
     multiply,
     transpose_dual,
 )
+from tests.schur_oracle import schur_oracle_multiply
 
 
 def all_box_partitions(rows, width, max_size=None):
@@ -70,6 +72,19 @@ class TestPartition:
             Partition([2.7, 1.2])
         with pytest.raises(ValueError):
             Partition([Fraction(3, 2)])
+
+    def test_refusal_messages(self):
+        # the negative check comes before the order check, and each keeps its text
+        for parts, message in (
+            ([1, -1], "negative part in (1, -1)"),
+            ([-1, 2], "negative part in (-1, 2)"),
+            ([1, 2], "parts not weakly decreasing: (1, 2)"),
+            ([2.5], "partition parts must be integers, got [2.5]"),
+        ):
+            with pytest.raises(ValueError) as err:
+                Partition(parts)
+            assert str(err.value) == message
+        assert Partition([3, 1, 0, 0]).parts == (3, 1)
 
     def test_conjugate(self):
         assert Partition([3, 1]).conjugate().parts == (2, 1, 1)
@@ -129,6 +144,21 @@ class TestChowElementInput:
         ctx = RingContext(2, 4)
         with pytest.raises(ValueError):
             ChowElement(ctx, {Partition([1]): 2.9})
+
+    def test_refusal_messages(self):
+        # the coefficient is checked before the box, and a zero term is
+        # dropped before either check
+        ctx = RingContext(2, 4)
+        for terms, message in (
+            ({Partition([3]): 1}, "Partition([3]) does not fit the RingContext(k=2, n=4) box"),
+            ({(1, 1, 1): 1}, "Partition([1, 1, 1]) does not fit the RingContext(k=2, n=4) box"),
+            ({Partition([1]): 2.9}, "coefficient of Partition([1]) must be an integer, got 2.9"),
+            ({Partition([3]): "1"}, "coefficient of Partition([3]) must be an integer, got '1'"),
+        ):
+            with pytest.raises(ValueError) as err:
+                ChowElement(ctx, terms)
+            assert str(err.value) == message
+        assert ChowElement(ctx, {Partition([3]): 0}).terms == {}
 
 
 class TestPieri:
@@ -278,6 +308,37 @@ class TestProductWork:
         via = multiply(make_class(dual, lam_t), make_class(dual, mu_t))
         assert prod.terms == {nu.conjugate(): c for nu, c in via.terms.items()}
         assert all(c > 0 for c in prod.terms.values())
+
+
+class TestCancellation:
+    """Each content term scales the other factor before the kernel runs,
+    so terms of opposite sign must still cancel exactly."""
+
+    def test_difference_times_hyperplane_is_zero(self):
+        ctx = RingContext(2, 4)
+        diff = make_class(ctx, Partition([2])) + (-1) * make_class(ctx, Partition([1, 1]))
+        s1 = make_class(ctx, Partition([1]))
+        assert multiply(diff, s1).terms == {}
+        assert multiply(s1, diff).terms == {}
+
+    def test_signed_line_classes_match_oracle(self):
+        # c_top(Sym^d S*) minus one of its own classes s[d+1-j, j], times
+        # s[1] + 2 s[1,1], in both orders, in G(2, N) with N <= 9
+        rng = random.Random(1307)
+        cases = 0
+        while cases < 8:
+            N = rng.randint(4, 9)
+            d = rng.randint(1, 2 * (N - 2) - 3)
+            j = rng.randint(0, (d + 1) // 2)
+            if d + 1 - j > N - 2:
+                continue
+            ctx = RingContext(2, N)
+            x = top_chern_sym(d, N) + (-1) * make_class(ctx, Partition([d + 1 - j, j]))
+            y = make_class(ctx, Partition([1])) + 2 * make_class(ctx, Partition([1, 1]))
+            expected = schur_oracle_multiply(x, y)
+            assert multiply(x, y) == expected, (d, N, j)
+            assert multiply(y, x) == expected, (d, N, j)
+            cases += 1
 
 
 def many_row_pairs(rng, k, count):
