@@ -512,15 +512,13 @@ def _input_error_text(err: Exception) -> str:
     return str(err)
 
 
-# argparse reads a value that starts with '-' and is not a plain number as
-# a flag; joined to its flag (`--range=-5..3`), such a value reaches its check.
-_SIGNED_VALUE = re.compile(r"-[0-9]")
-
-
 def _attach_signed_values(argv) -> list:
+    """Join `--range -5..3` into `--range=-5..3`, and `--deg -5,3` alike:
+    argparse reads a value that starts with '-' and is not a plain number
+    as a flag, but reads the joined form as the flag's value."""
     out = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if out and out[-1] in ("--range", "--deg") and _SIGNED_VALUE.match(arg):
+        if out and out[-1] in ("--range", "--deg") and re.match(r"-[0-9]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

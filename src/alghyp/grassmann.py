@@ -234,8 +234,8 @@ def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
     mu stays inside the k x width box.  The full rows take no box; the
     other rows are filled top down with two choices each: no box, while
     the rows below can take the boxes left, or one box, while the row
-    stays below the row above.  Hardly any prefix is a dead end, and
-    `multiply` validates every emitted shape.
+    stays below the row above.  Hardly any prefix is a dead end, and every
+    shape emitted still passes through the validating constructors.
     """
     out = {}
     get = out.get
@@ -276,7 +276,8 @@ def _lr_stage(states: dict, m: int, k: int, width: int) -> dict:
     shape stays inside the k x width box: row r takes at most the row
     above minus itself, and rows r+1.. at most row r minus the bottom row.
     Fillings that reach the same shape with the same row counts of the new
-    letter are merged, and `multiply` validates every final shape.
+    letter are merged, and every final shape still passes through the
+    validating constructors.
     """
     out = {}
     get = out.get
