@@ -9,9 +9,9 @@ merged.  A single-column content term 1^p, sigma_1 included, is one
 vertical strip.  There are no signs and no cache, and every product
 term passes through the validating `Partition` and `ChowElement`
 constructors.  An independent Schur-polynomial oracle lives in the
-tests.  All coefficients are Python ints (arbitrary precision); inputs that are not
-integers are rejected, not truncated.  All values are immutable after
-construction, and every operation is a pure function.
+tests.  All coefficients are Python ints (arbitrary precision); inputs
+that are not integers are rejected, not truncated.  All values are
+immutable after construction, and every operation is a pure function.
 """
 
 from __future__ import annotations
