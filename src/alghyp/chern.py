@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grassmann import ChowElement, Partition, RingContext, integrate, make_class, multiply
+from .grassmann import ChowElement, RingContext, integrate, make_class, multiply
 from .varieties import _integers
 
 
@@ -43,7 +43,7 @@ def top_chern_sym(d: int, N: int) -> ChowElement:
         raise AssertionError("top Chern product is not symmetric")
     c.append(0)  # c[d+2] = 0, so the single-row class s[d+1] gets c[d+1]
     terms = {
-        Partition((a, d + 1 - a)): c[a] - c[a + 1]
+        (a, d + 1 - a): c[a] - c[a + 1]
         for a in range((d + 2) // 2, min(d + 1, N - 2) + 1)
     }
     return ChowElement(RingContext(2, N), terms)
@@ -84,8 +84,8 @@ def fano_class(d: int, N: int) -> FanoClassReport:
             f"box width {N - 2} hides classes of degree {d + 1}; raise N to at least {d + 3}"
         )
     expansion = top_chern_sym(d, N)
-    ok = expansion.coefficient(Partition((d + 1,))) == 0 and all(
-        expansion.coefficient(Partition((d + 1 - j, j))) > 0
+    ok = expansion.coefficient((d + 1,)) == 0 and all(
+        expansion.coefficient((d + 1 - j, j)) > 0
         for j in range(1, (d + 1) // 2 + 1)
     )
     count = integrate(expansion) if d + 1 == 2 * (N - 2) else None
@@ -112,8 +112,8 @@ def paired_rearrangement(d: int, N: int | None = None) -> ChowElement:
     if N < 4:
         raise ValueError("N must be >= 4")
     ctx = RingContext(2, N)
-    s1 = make_class(ctx, Partition((1,)))
-    s11 = make_class(ctx, Partition((1, 1)))
+    s1 = make_class(ctx, (1,))
+    s11 = make_class(ctx, (1, 1))
     s1_squared = multiply(s1, s1)
     acc = (d * d) * s11
     for i in range(1, d // 2):

@@ -513,12 +513,14 @@ def _input_error_text(err: Exception) -> str:
 
 
 def _attach_signed_values(argv) -> list:
-    """Join `--range -5..3` into `--range=-5..3`, and `--deg -5,3` alike:
-    argparse reads a value that starts with '-' and is not a plain number
-    as a flag, but reads the joined form as the flag's value."""
+    """Join `--range -5..3` into `--range=-5..3`, and `--deg -5,3` or an
+    abbreviation (`--ran`, `--de`) alike: argparse reads a value that starts
+    with '-' and is not a plain number as a flag, but not a joined value."""
     out = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if out and out[-1] in ("--range", "--deg") and re.match(r"-[0-9]", arg):
+        flag = out[-1] if out else ""
+        signed = re.match(r"-[0-9]", arg)
+        if signed and len(flag) > 2 and ("--range".startswith(flag) or "--deg".startswith(flag)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -1,17 +1,19 @@
 """Exact Schubert calculus in the Chow ring of the Grassmannian G(k, n).
 
-Classes are indexed by partitions inside the k x (n-k) box.  Every
-product goes through one Littlewood-Richardson kernel: each row of the
-content factor is added as a horizontal strip of one letter, kept only
-while the reverse reading word is a lattice word, and partial fillings
-with the same shape and the same row counts of the last letter are
-merged.  A single-column content term 1^p, sigma_1 included, is one
-vertical strip.  There are no signs and no cache, and every product
-term passes through the validating `Partition` and `ChowElement`
-constructors.  An independent Schur-polynomial oracle lives in the
-tests.  All coefficients are Python ints (arbitrary precision); inputs
-that are not integers are rejected, not truncated.  All values are
-immutable after construction, and every operation is a pure function.
+Classes are indexed by partitions inside the k x (n-k) box.  `_checked`
+is the one partition validator and yields a trimmed int tuple;
+`ChowElement` keys its terms by those tuples and builds the
+`Partition`-keyed `terms` only when a caller reads it.  Each content term
+of a product takes one of three routes: a single column 1^p (sigma_1
+included) is one vertical strip, a single row p one horizontal strip
+(Pieri's rule), and any other term one Littlewood-Richardson stage per
+row, kept while the reverse reading word is a lattice word, with partial
+fillings of equal shape and last-letter row counts merged.  There are no
+signs and no cache, and every product term passes the partition,
+coefficient and box checks of `ChowElement`.  An independent
+Schur-polynomial oracle lives in the tests.  All coefficients are Python
+ints; inputs that are not integers are rejected, not truncated.  All
+values are immutable, and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -32,19 +34,7 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        if isinstance(parts, Partition):
-            parts = parts.parts
-        try:
-            parts = tuple(map(operator.index, parts))
-        except TypeError:
-            raise ValueError(f"partition parts must be integers, got {parts!r}") from None
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        if parts and min(parts) < 0:
-            raise ValueError(f"negative part in {parts}")
-        if any(map(operator.lt, parts, parts[1:])):
-            raise ValueError(f"parts not weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", _checked(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -77,8 +67,23 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
-def _as_partition(lam) -> Partition:
-    return lam if isinstance(lam, Partition) else Partition(lam)
+def _checked(parts) -> tuple:
+    """The parts of a partition as a trimmed int tuple, or ValueError: the
+    parts must be integers, nonnegative and weakly decreasing."""
+    if isinstance(parts, Partition):
+        return parts.parts
+    try:
+        parts = tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError(f"partition parts must be integers, got {parts!r}") from None
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    # weakly decreasing with a nonnegative last part means no negative part
+    if any(map(operator.lt, parts, parts[1:])) or (parts and parts[-1] < 0):
+        if min(parts) < 0:
+            raise ValueError(f"negative part in {parts}")
+        raise ValueError(f"parts not weakly decreasing: {parts}")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -113,43 +118,56 @@ class RingContext:
         return Partition((self.width,) * self.k)
 
     def fits(self, lam) -> bool:
-        lam = _as_partition(lam)
-        return len(lam) <= self.k and (not lam.parts or lam.parts[0] <= self.width)
+        parts = _checked(lam)
+        return len(parts) <= self.k and (not parts or parts[0] <= self.width)
 
 
 class ChowElement:
     """Formal integer combination of Schubert classes of a fixed G(k, n).
 
     Stored terms never include zero coefficients or out-of-box partitions;
-    instances are immutable.  Use `make_class` to build basis classes with
-    the box-truncation convention.
+    instances are immutable.  Terms are held in a private dict keyed by
+    trimmed int tuples, each checked by `_checked`; the public `terms`
+    maps `Partition`s to coefficients, is built on its first read and is
+    kept (treat it as read-only).  Use `make_class` to build basis classes
+    with the box-truncation convention.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "_terms", "_partitions")
 
     def __init__(self, context: RingContext, terms=None):
         clean = {}
         k, width = context.k, context.n - context.k
         for lam, c in (terms or {}).items():
-            lam = lam if isinstance(lam, Partition) else Partition(lam)
+            parts = _checked(lam)
             try:
                 c = operator.index(c)
             except TypeError:
-                raise ValueError(f"coefficient of {lam!r} must be an integer, got {c!r}") from None
+                raise ValueError(
+                    f"coefficient of {Partition(parts)!r} must be an integer, got {c!r}"
+                ) from None
             if c == 0:
                 continue
-            parts = lam.parts
             if len(parts) > k or (parts and parts[0] > width):
-                raise ValueError(f"{lam!r} does not fit the {context} box")
-            clean[lam] = c
+                raise ValueError(f"{Partition(parts)!r} does not fit the {context} box")
+            clean[parts] = c
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_partitions", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
 
+    @property
+    def terms(self) -> dict:
+        """The terms as {Partition: coefficient}."""
+        if self._partitions is None:
+            view = {Partition(lam): c for lam, c in self._terms.items()}
+            object.__setattr__(self, "_partitions", view)
+        return self._partitions
+
     def coefficient(self, lam) -> int:
-        return self.terms.get(_as_partition(lam), 0)
+        return self._terms.get(_checked(lam), 0)
 
     def sorted_terms(self):
         """Terms in canonical order (partitions lex descending)."""
@@ -159,16 +177,16 @@ class ChowElement:
         return (
             isinstance(other, ChowElement)
             and self.context == other.context
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
+        return hash((self.context, frozenset(self._terms.items())))
 
     def __add__(self, other):
         self._check_context(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
+        out = dict(self._terms)
+        for lam, c in other._terms.items():
             out[lam] = out.get(lam, 0) + c
         return ChowElement(self.context, out)
 
@@ -176,7 +194,7 @@ class ChowElement:
         if not isinstance(scalar, int):
             return NotImplemented
         return ChowElement(
-            self.context, {lam: scalar * c for lam, c in self.terms.items()}
+            self.context, {lam: scalar * c for lam, c in self._terms.items()}
         )
 
     def _check_context(self, other):
@@ -189,11 +207,11 @@ class ChowElement:
 
     def to_text(self) -> str:
         """Render as e.g. '3*s[2,1] + 5*s[1,1,1]' in canonical term order."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
-        for lam, c in self.sorted_terms():
-            body = f"s[{','.join(str(p) for p in lam.parts)}]"
+        for lam, c in sorted(self._terms.items(), reverse=True):
+            body = f"s[{','.join(map(str, lam))}]"
             if not pieces:
                 pieces.append(f"{c}*{body}")
             elif c >= 0:
@@ -208,8 +226,8 @@ class ChowElement:
             "k": self.context.k,
             "n": self.context.n,
             "terms": [
-                {"partition": list(lam.parts), "coeff": str(c)}
-                for lam, c in self.sorted_terms()
+                {"partition": list(lam), "coeff": str(c)}
+                for lam, c in sorted(self._terms.items(), reverse=True)
             ],
         }
 
@@ -219,10 +237,10 @@ class ChowElement:
 
 def make_class(ctx: RingContext, lam) -> ChowElement:
     """Schubert class for `lam`, or zero if it does not fit the box."""
-    lam = _as_partition(lam)
-    if not ctx.fits(lam):
+    parts = _checked(lam)
+    if not ctx.fits(parts):
         return ChowElement(ctx)
-    return ChowElement(ctx, {lam: 1})
+    return ChowElement(ctx, {parts: 1})
 
 
 def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
@@ -258,6 +276,43 @@ def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
                         nxt.append((prefix + (b + 1,), left - 1))
                     else:
                         mu = prefix + (b + 1,) + tail
+                        out[mu] = get(mu, 0) + c
+            partial = nxt
+            if not partial:
+                break
+    return out
+
+
+def _horizontal_strips(terms, p: int, k: int, width: int) -> dict:
+    """Pieri's row rule, the mirror of `_vertical_strips`: every horizontal
+    strip of p >= 1 boxes (at most one per column) added to each term.
+
+    This is the first stage of `_lr_stage` without letter counts: row r
+    takes at most the row above minus itself, and at least what rows r+1..
+    cannot take (row r minus the bottom row).
+    """
+    out = {}
+    get = out.get
+    for lam, c in terms:
+        rows = k if len(lam) >= k else len(lam) + 1
+        base = lam + (0,) * (rows - len(lam))
+        low = base[-1]
+        if width - low < p:
+            continue
+        partial = [((), p)]
+        above = width
+        for r in range(rows):
+            b, tail = base[r], lam[r + 1:]
+            top, after = above - b, b - low
+            above = b
+            nxt = []
+            for shape, left in partial:
+                hi = top if top < left else left
+                for a in range(left - after if left > after else 0, hi + 1):
+                    if a < left:
+                        nxt.append((shape + (b + a,), left - a))
+                    else:
+                        mu = shape + (b + a,) + tail
                         out[mu] = get(mu, 0) + c
             partial = nxt
             if not partial:
@@ -316,45 +371,47 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     """Chow ring product by the Littlewood-Richardson rule.
 
     The content is the factor whose longest term has fewer rows.  Each of
-    its terms mu is applied to every term of the other factor at once,
-    scaled by the coefficient of mu: row mu_i becomes a horizontal strip
-    of the letter i (`_lr_stage`), kept only while the reverse reading
-    word is a lattice word, so the surviving fillings count the
-    coefficients c^nu_{lam,mu} with no signs.  A single-column term 1^p
-    (sigma_1 included) is one vertical strip.  Shapes that leave the
-    k x (n-k) box are dropped as they appear; the sum over the content
-    terms can cancel, and zero terms are dropped by `ChowElement`.
+    its terms mu, scaled by its coefficient, is applied to every term of
+    the other factor at once: a single column 1^p is one vertical strip,
+    a single row (p) one horizontal strip, and any other mu one
+    `_lr_stage` per row, where row mu_i is a horizontal strip of the
+    letter i kept only while the reverse reading word is a lattice word.
+    The kernels work on int tuples and drop shapes that leave the box; the
+    sum can cancel, and `ChowElement` checks every term and drops zeros.
     """
     x._check_context(y)
     ctx = x.context
     k, width = ctx.k, ctx.width
-    if max(map(len, x.terms), default=0) < max(map(len, y.terms), default=0):
+    if max(map(len, x._terms), default=0) < max(map(len, y._terms), default=0):
         x, y = y, x
-    base = [(lam.parts, c) for lam, c in x.terms.items()]
+    base = list(x._terms.items())
     out = {}
     get = out.get
-    for mu, cy in y.terms.items():
+    for mu, cy in y._terms.items():
         scaled = [(lam, cy * c) for lam, c in base]
-        if mu.parts[:1] == (1,):
-            for nu, c in _vertical_strips(scaled, len(mu), k, width).items():
-                out[nu] = get(nu, 0) + c
-            continue
-        states = {(lam, None): c for lam, c in scaled}
-        for m in mu.parts:
-            states = _lr_stage(states, m, k, width)
-        for (nu, _), c in states.items():
+        if mu[:1] == (1,):
+            grown = _vertical_strips(scaled, len(mu), k, width).items()
+        elif len(mu) == 1:
+            grown = _horizontal_strips(scaled, mu[0], k, width).items()
+        else:
+            states = {(lam, None): c for lam, c in scaled}
+            for m in mu:
+                states = _lr_stage(states, m, k, width)
+            grown = ((nu, c) for (nu, _), c in states.items())
+        for nu, c in grown:
             out[nu] = get(nu, 0) + c
-    return ChowElement(ctx, {Partition(nu): c for nu, c in out.items()})
+    return ChowElement(ctx, out)
 
 
 def integrate(x: ChowElement) -> int:
     """Degree pairing: coefficient of the full-box point class."""
-    return x.terms.get(x.context.top, 0)
+    ctx = x.context
+    return x._terms.get((ctx.width,) * ctx.k, 0)
 
 
 def complement(ctx: RingContext, lam) -> Partition:
     """Partition pairing with lam to the point class under integration."""
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     if not ctx.fits(lam):
         raise ValueError(f"{lam!r} does not fit the G({ctx.k},{ctx.n}) box")
     return Partition(tuple(ctx.width - lam.part(ctx.k - 1 - j) for j in range(ctx.k)))
@@ -362,7 +419,7 @@ def complement(ctx: RingContext, lam) -> Partition:
 
 def transpose_dual(ctx: RingContext, lam):
     """Conjugate partition in the dual Grassmannian G(n-k, n)."""
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     if not ctx.fits(lam):
         raise ValueError(f"{lam!r} does not fit the G({ctx.k},{ctx.n}) box")
     return RingContext(ctx.n - ctx.k, ctx.n), lam.conjugate()

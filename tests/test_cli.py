@@ -127,13 +127,16 @@ class TestCommands:
 
     def test_negative_value_reaches_its_check(self, capsys):
         """A --range or --deg value that starts with '-' is read as the
-        value in both spellings, not as a flag; a real flag still is one."""
-        for spelled in (["--range", "-5..3"], ["--range=-5..3"]):
+        value in every spelling, abbreviated flags included, not as a flag;
+        a real flag still is one."""
+        for spelled in (["--range", "-5..3"], ["--range=-5..3"], ["--ran", "-5..3"]):
             assert run_cli(capsys, "sweep", "P(4)", *spelled) == (
                 1, "", "error: degrees must be >= 1, got (-5,)\n")
-        for spelled in (["--deg", "-5,3"], ["--deg=-5,3"]):
+        for spelled in (["--deg", "-5,3"], ["--deg=-5,3"], ["--de", "-5,3"]):
             assert run_cli(capsys, "classify", "P(4)", *spelled) == (
                 1, "", "error: P(4) has 1 degree slots, got 2\n")
+        assert run_cli(capsys, "fano-class", "--d", "-5", "--N", "7") == (
+            1, "", "error: d must be >= 2\n")
         assert run_cli(capsys, "sweep", "P(4)", "--range", "--json") == (
             1, "", "error: argument --range: expected one argument\n")
 

@@ -161,6 +161,59 @@ class TestChowElementInput:
         assert ChowElement(ctx, {Partition([3]): 0}).terms == {}
 
 
+class TestTupleStorage:
+    """Terms are kept under int tuple keys; `terms` is a Partition view."""
+
+    def test_terms_view_is_built_once(self):
+        ctx = RingContext(3, 6)
+        x = make_class(ctx, (2, 1)) + 3 * make_class(ctx, Partition([1]))
+        assert x.terms is x.terms
+        assert x.terms == {Partition([2, 1]): 1, Partition([1]): 3}
+
+    def test_partition_and_tuple_keys_agree(self):
+        ctx = RingContext(2, 5)
+        by_partition = ChowElement(ctx, {Partition([3, 1]): 2, Partition([2]): -1})
+        by_tuple = ChowElement(ctx, {(3, 1): 2, (2, 0): -1})
+        assert by_partition == by_tuple
+        assert hash(by_partition) == hash(by_tuple)
+        assert by_partition.to_text() == by_tuple.to_text() == "2*s[3,1] - 1*s[2]"
+
+    def test_coefficient_reads_any_spelling(self):
+        ctx = RingContext(2, 5)
+        x = 7 * make_class(ctx, (2, 1))
+        for lam in (Partition([2, 1]), (2, 1), [2, 1], [2, 1, 0]):
+            assert x.coefficient(lam) == 7
+        assert x.coefficient((1,)) == 0
+        for parts, message in (
+            ([1, 2], "parts not weakly decreasing: (1, 2)"),
+            ([2.5], "partition parts must be integers, got [2.5]"),
+        ):
+            with pytest.raises(ValueError) as err:
+                x.coefficient(parts)
+            assert str(err.value) == message
+
+    def test_products_build_no_partition(self, monkeypatch):
+        # sigma_1 multiplied up to the point class of G(3,6) builds no
+        # Partition; reading the result's terms builds exactly one
+        built = []
+        inner = Partition.__init__
+
+        def counted(self, parts=()):
+            built.append(parts)
+            inner(self, parts)
+
+        monkeypatch.setattr(Partition, "__init__", counted)
+        ctx = RingContext(3, 6)
+        s1 = make_class(ctx, (1,))
+        x = s1
+        for _ in range(ctx.dim - 1):
+            x = multiply(x, s1)
+        assert integrate(x) == 42 and built == []
+        terms = x.terms
+        assert len(built) == 1
+        assert [(lam.parts, c) for lam, c in terms.items()] == [((3, 3, 3), 42)]
+
+
 class TestPieri:
     """Products with sigma_p, checked against a brute-force strip oracle."""
 
@@ -264,19 +317,46 @@ class TestProductWork:
 
     def test_special_factor_is_one_strip(self, monkeypatch):
         # x has a four-row term, so the special class is the content in
-        # either order: a single row is one LR stage, a single column
-        # (sigma_1 included) one vertical strip, each applied to both terms
-        # of x at once
+        # either order: a single row is one horizontal strip, a single
+        # column (sigma_1 included) one vertical strip, each applied to both
+        # terms of x at once, and neither takes an LR stage
         ctx = RingContext(4, 9)
         x = make_class(ctx, Partition([3, 2, 2, 1])) + 2 * make_class(ctx, Partition([2, 1]))
-        for special, stages, strips in (([3], 1, 0), ([1, 1, 1], 0, 1), ([1], 0, 1)):
+        for special, rows, columns in (([3], 1, 0), ([1, 1, 1], 0, 1), ([1], 0, 1)):
             s = make_class(ctx, Partition(special))
             for a, b in ((x, s), (s, x)):
+                row_calls = counting(monkeypatch, "_horizontal_strips")
                 stage_calls = counting(monkeypatch, "_lr_stage")
-                strip_calls = counting(monkeypatch, "_vertical_strips")
+                column_calls = counting(monkeypatch, "_vertical_strips")
                 multiply(a, b)
                 monkeypatch.undo()
-                assert (len(stage_calls), len(strip_calls)) == (stages, strips), (special, a, b)
+                counts = (len(row_calls), len(stage_calls), len(column_calls))
+                assert counts == (rows, 0, columns), (special, a, b)
+
+    def test_row_strip_is_one_lr_stage(self):
+        # Pieri's row rule equals the first LR stage, and a product with a
+        # single row equals the Schur oracle, on seeded terms that include
+        # full rows, rows at the box width and signed coefficients
+        rng = random.Random(2029)
+        for _ in range(150):
+            k, width = rng.randint(1, 4), rng.randint(1, 5)
+            ctx = RingContext(k, k + width)
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                rows = rng.randint(0, k)
+                lam = sorted((rng.choice((width, rng.randint(1, width))) for _ in range(rows)))
+                terms[tuple(reversed(lam))] = rng.choice((-3, -1, 1, 2, 5))
+            p = rng.randint(1, width)
+            strips = grassmann._horizontal_strips(list(terms.items()), p, k, width)
+            stage = grassmann._lr_stage({(lam, None): c for lam, c in terms.items()}, p, k, width)
+            merged = {}
+            for (nu, _), c in stage.items():
+                merged[nu] = merged.get(nu, 0) + c
+            assert strips == merged, (k, width, terms, p)
+            x = ChowElement(ctx, terms)
+            assert multiply(x, make_class(ctx, (p,))) == schur_oracle_multiply(
+                x, make_class(ctx, (p,))
+            ), (k, width, terms, p)
 
     def test_many_row_pair_state_bound(self, monkeypatch):
         # sigma_{nu^c} * sigma_mu with l(mu) = 9 in G(9,18): the Jacobi-Trudi
