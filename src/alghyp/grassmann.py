@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class Partition:
@@ -127,10 +128,10 @@ class ChowElement:
 
     Stored terms never include zero coefficients or out-of-box partitions;
     instances are immutable.  Terms are held in a private dict keyed by
-    trimmed int tuples, each checked by `_checked`; the public `terms`
-    maps `Partition`s to coefficients, is built on its first read and is
-    kept (treat it as read-only).  Use `make_class` to build basis classes
-    with the box-truncation convention.
+    trimmed int tuples, each checked by `_checked`; the public `terms`, a
+    read-only mapping from `Partition`s to coefficients, is built on its
+    first read and is kept.  Use `make_class` to build basis classes with
+    the box-truncation convention.
     """
 
     __slots__ = ("context", "_terms", "_partitions")
@@ -159,10 +160,10 @@ class ChowElement:
         raise AttributeError("ChowElement is immutable")
 
     @property
-    def terms(self) -> dict:
-        """The terms as {Partition: coefficient}."""
+    def terms(self) -> MappingProxyType:
+        """The terms as a read-only {Partition: coefficient} mapping."""
         if self._partitions is None:
-            view = {Partition(lam): c for lam, c in self._terms.items()}
+            view = MappingProxyType({Partition(lam): c for lam, c in self._terms.items()})
             object.__setattr__(self, "_partitions", view)
         return self._partitions
 

@@ -169,6 +169,8 @@ class TestTupleStorage:
         x = make_class(ctx, (2, 1)) + 3 * make_class(ctx, Partition([1]))
         assert x.terms is x.terms
         assert x.terms == {Partition([2, 1]): 1, Partition([1]): 3}
+        with pytest.raises(TypeError):
+            x.terms[Partition([1])] = 5
 
     def test_partition_and_tuple_keys_agree(self):
         ctx = RingContext(2, 5)
