@@ -208,11 +208,11 @@ class ChowElement:
 
     def to_text(self) -> str:
         """Render as e.g. '3*s[2,1] + 5*s[1,1,1]' in canonical term order."""
-        if not self._terms:
+        if not self.terms:
             return "0"
         pieces = []
-        for lam, c in sorted(self._terms.items(), reverse=True):
-            body = f"s[{','.join(map(str, lam))}]"
+        for lam, c in self.sorted_terms():
+            body = f"s[{','.join(str(p) for p in lam.parts)}]"
             if not pieces:
                 pieces.append(f"{c}*{body}")
             elif c >= 0:
@@ -227,8 +227,8 @@ class ChowElement:
             "k": self.context.k,
             "n": self.context.n,
             "terms": [
-                {"partition": list(lam), "coeff": str(c)}
-                for lam, c in sorted(self._terms.items(), reverse=True)
+                {"partition": list(lam.parts), "coeff": str(c)}
+                for lam, c in self.sorted_terms()
             ],
         }
 
