@@ -24,7 +24,7 @@ def _case_a(variety, degrees) -> tuple:
 def _case_b(variety, degrees, j) -> tuple:
     d, a = degrees, variety.a
     return tuple(
-        Fraction(a[i] + d[i] - variety.D + 2) + Fraction(1, 2)
+        Fraction(2 * (a[i] + d[i] - variety.D + 2) + 1, 2)
         if i == j
         else Fraction(a[i] + d[i] - 1)
         for i in range(variety.m)
@@ -35,9 +35,9 @@ def _case_c(variety, degrees, j) -> tuple:
     """Scroll case C with factor j distinguished; defined only for d_j >= 2."""
     d, a = degrees, variety.a
     return tuple(
-        Fraction(a[i] + d[i] - variety.D + 2) + Fraction(1, d[j])
+        Fraction((a[i] + d[i] - variety.D + 2) * d[j] + 1, d[j])
         if i == j
-        else Fraction(a[i] + d[i]) - Fraction(d[i], d[j])
+        else Fraction((a[i] + d[i]) * d[j] - d[i], d[j])
         for i in range(variety.m)
     )
 
@@ -111,8 +111,11 @@ def hyperbolicity_certificate(
             cases.append(CaseBound("C", j, _case_c(variety, degrees, j)))
         else:
             complete = False
-    binding = min(cases, key=lambda c: (c.minimum(), c.case, c.j if c.j is not None else -1))
-    eps = binding.minimum()
+    # the lowest (minimum, case, j) binds; uniform case A sorts as j = -1
+    eps, _, _, at = min(
+        (c.minimum(), c.case, -1 if c.j is None else c.j, at) for at, c in enumerate(cases)
+    )
+    binding = cases[at]
     flags = [_CASE_C_FLAG]
     if not complete:
         flags.append(_SMALL_DEGREE_FLAG)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,10 +7,13 @@ import sys
 import jsonschema
 import pytest
 
-from alghyp import schemas
+from alghyp import cli, schemas
 from alghyp.cli import (
     _MAX_SWEEP_ROWS,
     CLIError,
+    _attach_signed_values,
+    _build_parser,
+    _parse_args,
     _parse_degrees,
     _parse_range,
     main,
@@ -19,6 +24,7 @@ from alghyp.cli import (
 from alghyp.grassmann import ChowElement, Partition, RingContext
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
+from tests.test_cli_golden import ALL_COMMANDS, HELP, REJECTED
 
 
 def run_cli(capsys, *argv):
@@ -330,6 +336,63 @@ class TestDeterminism:
             check=True,
         )
         assert proc.stdout == out
+
+
+def parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace less the command names, a
+    CLIError's text, or a SystemExit's code and the stdout printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            namespace = parse(_attach_signed_values(list(argv)))
+    except CLIError as err:
+        return "error", str(err)
+    except SystemExit as stop:
+        return "exit", stop.code, out.getvalue()
+    fields = vars(namespace)
+    fields.pop("command", None)
+    fields.pop("subcommand", None)
+    return "namespace", fields
+
+
+# argv at the edges of stepping down by command name: no command, '--',
+# an extra positional, abbreviated flags, an unknown subcommand, and help
+# before a bad flag
+PARSE_EDGES = (
+    (),
+    ("info", "--", "P(2)"),
+    ("info", "P(2)", "extra"),
+    ("info", "--js", "P(2)"),
+    ("info", "--h"),
+    ("schubert", "frob"),
+    ("info", "P(2)", "-h", "--bogus"),
+)
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS + REJECTED + HELP + PARSE_EDGES, ids=" ".join)
+def test_one_pass_parse_matches_the_root_parse(argv):
+    assert parse_outcome(_parse_args, argv) == parse_outcome(_build_parser().parse_args, argv)
+
+
+def test_one_parse_per_call(monkeypatch, capsys):
+    """Each golden argv that starts with a command name is parsed by one
+    parse_known_args call (the root parse takes 2, and 3 for a schubert
+    leaf)."""
+    calls = 0
+    parse_known_args = cli._ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "parse_known_args", counting)
+    for argv in ALL_COMMANDS:
+        assert argv[0] in _build_parser().commands
+        calls = 0
+        main(list(argv))
+        assert calls == 1, argv
+    capsys.readouterr()
 
 
 # Each entry point takes (box, text); only parse_chow reads the box.

@@ -100,7 +100,10 @@ def test_shared_parser_keeps_no_state_between_calls(golden):
         assert transcript(argv) == golden[argv], argv
 
 
-@pytest.mark.parametrize("argv", (("--help",), ("info", "-h"), ("schubert", "mul", "-h")), ids=" ".join)
+HELP = (("--help",), ("info", "-h"), ("schubert", "mul", "-h"))
+
+
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
 def test_help_returns_0_in_process(golden, argv):
     """-h/--help prints to stdout and returns 0 rather than raising
     SystemExit, and leaves the shared parser fit for the next call."""

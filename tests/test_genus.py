@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,26 @@ def profile_bound(v, degrees, s):
     if len(s) != v.m or min(s) < 0 or sum(s) > v.D - 2:
         raise ValueError(f"profile {s} is not admissible on {v.name}")
     return tuple(Fraction(ai + di - si) for ai, di, si in zip(v.a, degrees, s))
+
+
+def summed_cases(v, degrees):
+    """Oracle: every case vector by (case, j), each entry of cases B and C
+    a sum of Fractions as the proof states it."""
+    d, a, D = degrees, v.a, v.D
+    cases = {("A", None): tuple(Fraction(a[i] + d[i] - D + 3) for i in range(v.m))}
+    for j in range(v.m):
+        cases[("B", j)] = tuple(
+            Fraction(a[i] + d[i] - D + 2) + Fraction(1, 2) if i == j else Fraction(a[i] + d[i] - 1)
+            for i in range(v.m)
+        )
+        if d[j] >= 2:
+            cases[("C", j)] = tuple(
+                Fraction(a[i] + d[i] - D + 2) + Fraction(1, d[j])
+                if i == j
+                else Fraction(a[i] + d[i]) - Fraction(d[i], d[j])
+                for i in range(v.m)
+            )
+    return cases
 
 
 def method1(v, degrees):
@@ -109,6 +130,44 @@ class TestScrollCases:
             hyperbolicity_certificate(p4, (7, 7))
         with pytest.raises(ValueError):
             hyperbolicity_certificate(p4, (0,))
+
+
+class TestCaseOracle:
+    def certificate_matches_oracle(self, v, degrees):
+        """The report's cases, epsilon and binding (case, j) against the
+        summed oracle; the lowest (minimum, case, j) binds, case A first."""
+        report = hyperbolicity_certificate(v, degrees)
+        cases = summed_cases(v, degrees)
+        assert {(c.case, c.j): c.coefficients for c in report.cases} == cases
+        assert [(c.case, c.j) for c in report.cases] == list(cases)
+        assert all(type(x) is Fraction for c in report.cases for x in c.coefficients)
+        eps, case, j = min((min(vec), case, -1 if j is None else j) for (case, j), vec in cases.items())
+        assert (report.binding.case, -1 if report.binding.j is None else report.binding.j) == (case, j)
+        complete = len(cases) == 1 + 2 * v.m
+        want = eps if eps > 0 and complete else None
+        assert report.epsilon == want and type(report.epsilon) is type(want)
+        return report
+
+    def test_seeded_grid(self):
+        rng = random.Random(15)
+        instances = catalog_instances(d_min=1, d_max=14)
+        assert {v.name.split("(")[0] for v in instances} >= {"P", "Gr", "OG", "SG", "Fl"}
+        assert any(v.m > 1 for v in instances)
+        for v in instances:
+            for t in range(1, 26):
+                self.certificate_matches_oracle(v, (t,) * v.m)
+            for _ in range(12):
+                self.certificate_matches_oracle(v, tuple(rng.randint(1, 25) for _ in range(v.m)))
+
+    def test_ties_go_to_the_lowest_case_and_index(self):
+        v = product(projective_space(2), projective_space(2))
+        # at (2, 2) both B and both C cases reach -5/2; at (5, 5) the C cases tie
+        for degrees, binding in (((2, 2), ("B", 0)), ((5, 5), ("C", 0)), ((9, 9), ("C", 0))):
+            report = self.certificate_matches_oracle(v, degrees)
+            low = min(c.minimum() for c in report.cases)
+            tied = [c for c in report.cases if c.minimum() == low]
+            assert len(tied) >= 2
+            assert (report.binding.case, report.binding.j) == binding
 
 
 class TestCertificate:
