@@ -113,11 +113,6 @@ class RingContext:
         """Dimension k(n-k) of the Grassmannian; the top grading degree."""
         return self.k * (self.n - self.k)
 
-    @property
-    def top(self) -> Partition:
-        """The full-box partition indexing the point class."""
-        return Partition((self.width,) * self.k)
-
     def fits(self, lam) -> bool:
         parts = _checked(lam)
         return len(parts) <= self.k and (not parts or parts[0] <= self.width)

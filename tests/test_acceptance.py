@@ -6,7 +6,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines.
 import json
 import random
 from fractions import Fraction
-from math import comb
 
 import jsonschema
 
@@ -39,6 +38,7 @@ from alghyp.varieties import (
 )
 from tests.instances import catalog_instances
 from tests.schur_oracle import schur_oracle_multiply
+from tests.sections_oracle import section_rank_oracle
 from tests.test_grassmann import all_box_partitions, element_from_json
 
 
@@ -171,7 +171,8 @@ def test_criterion_8_section_domination():
     for n in range(1, 5):
         for d in range(1, 7):
             r = check_projective_space(n, d)
-            if not (r.ok and r.rank == comb(n + d, d) - 1):
+            rank, target_dim = section_rank_oracle(n, d)
+            if not (r.ok and r.rank == rank == target_dim == r.target_dim):
                 report(8, False, f"rank defect at (n, d) = ({n}, {d})")
     report(8, True, "section domination verified with full rank on the 4x6 grid")
 

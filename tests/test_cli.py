@@ -25,6 +25,7 @@ from alghyp.grassmann import ChowElement, Partition, RingContext
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
 from tests.test_cli_golden import ALL_COMMANDS, HELP, REJECTED
+from tests.test_sections import first_refused_diagonal
 
 
 def run_cli(capsys, *argv):
@@ -197,11 +198,18 @@ class TestCommands:
             assert code == 1 and out == ""
             assert "--n" in err and "--d" in err
 
-    def test_section_dom_refuses_over_the_monomial_limit(self, capsys):
+    def test_section_dom_past_the_old_monomial_budget(self, capsys):
         # C(24, 12) = 2.7 million degree-12 monomials on P^12
         code, out, err = run_cli(capsys, "section-dom", "--n", "12", "--d", "12")
+        assert code == 0 and err == ""
+        assert out == "n  d  rank  target  ok\n12  12  2704155  2704155  pass\n"
+
+    def test_section_dom_refuses_past_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        first = str(first_refused_diagonal(limit))
+        code, out, err = run_cli(capsys, "section-dom", "--n", first, "--d", first)
         assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "limit of 1000000 " in err
+        assert err.count("\n") == 1 and f"more than {limit} digits" in err
 
     def test_exit_code_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "info", "OG(2,6)")

@@ -114,7 +114,6 @@ class TestRingContext:
     def test_box_data(self):
         ctx = RingContext(2, 5)
         assert ctx.width == 3 and ctx.dim == 6
-        assert ctx.top == Partition([3, 3])
         assert ctx.fits(Partition([3, 2])) and not ctx.fits(Partition([4]))
         assert not ctx.fits(Partition([1, 1, 1]))
 

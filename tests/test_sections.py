@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 
 from alghyp import sections
 from alghyp.sections import check_projective_space, grid_report
+from tests.sections_oracle import section_rank_oracle
 
 
 def dense_rank(columns, nrows):
@@ -45,6 +48,24 @@ def section_matrix(n, d):
     return columns, len(target)
 
 
+class CombCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_comb(monkeypatch):
+    """Make any call of `sections.comb` raise `CombCalled`."""
+    def comb_called(*args):
+        raise CombCalled
+
+    monkeypatch.setattr(sections, "comb", comb_called)
+
+
+def first_refused_diagonal(limit):
+    """The least k for which check_projective_space(k, k) is refused."""
+    return -(-10 * limit // 3)
+
+
 class TestProjectiveSpaceCheck:
     def test_conic_case(self):
         r = check_projective_space(2, 2)
@@ -61,17 +82,24 @@ class TestProjectiveSpaceCheck:
 
     def test_rank_certificate_formula(self):
         # covers every (n, d) of the benchmark, and the x_n^d corner, whose
-        # base-(d+1) code d (d+1)^n is the largest one
+        # base-(d+1) code d (d+1)^n is the oracle's largest one
         for n in range(1, 7):
             for d in range(1, 9):
                 r = check_projective_space(n, d)
-                assert r.ok, (n, d)
-                assert r.rank == comb(n + d, d) - 1
+                assert r.ok and (r.rank, r.target_dim) == section_rank_oracle(n, d), (n, d)
+
+    def test_seeded_pairs_match_the_code_set_oracle(self):
+        pairs = [(n, d) for n in range(1, 40) for d in range(1, 40) if comb(n + d, d) <= 10**5]
+        for n, d in random.Random(16).sample(pairs, 12):
+            r = check_projective_space(n, d)
+            assert r.ok and (r.rank, r.target_dim) == section_rank_oracle(n, d), (n, d)
 
     def test_rank_matches_dense_elimination(self):
         for n in range(1, 5):
             for d in range(1, 7):
-                assert check_projective_space(n, d).rank == dense_rank(*section_matrix(n, d)), (n, d)
+                columns, nrows = section_matrix(n, d)
+                r = check_projective_space(n, d)
+                assert (r.rank, r.target_dim) == (dense_rank(columns, nrows), nrows), (n, d)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -79,24 +107,32 @@ class TestProjectiveSpaceCheck:
         with pytest.raises(ValueError):
             check_projective_space(2, 0)
 
-    def test_refuses_over_the_monomial_limit_before_enumerating(self, monkeypatch):
-        def enumerate_nothing(*args):
-            raise AssertionError("enumerated monomials of a refused check")
-
-        # C(5+39, 5) is the first count past the limit along n = 5
-        limit = sections._MAX_MONOMIALS
-        assert comb(5 + 38, 5) <= limit < comb(5 + 39, 5)
-        monkeypatch.setattr(sections, "combinations_with_replacement", enumerate_nothing)
-        for n, d in ((5, 39), (39, 5), (limit, 1), (10**6, 10**6)):
-            with pytest.raises(ValueError, match=f"limit of {limit} "):
+    def test_refuses_past_the_digit_limit_before_comb(self, no_comb):
+        # at n = d = k the guard reads C(2k, k) >= 2^k, so it refuses from
+        # 3k >= 10 limit on; C(2k, k) passes the limit near k = 1.66 limit
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        first = first_refused_diagonal(limit)
+        for n, d in ((first, first), (1, 2 ** (4 * limit)), (10**6, 10**6)):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
                 check_projective_space(n, d)
+        with pytest.raises(CombCalled):
+            check_projective_space(first - 1, first - 1)
 
-    def test_monomial_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(sections, "_MAX_MONOMIALS", comb(2 + 2, 2))
-        assert check_projective_space(2, 2).ok
-        assert check_projective_space(1, 5).ok  # also C(6, 5) = 6 monomials
-        with pytest.raises(ValueError, match="limit of 6 "):
-            check_projective_space(2, 3)
+    def test_digit_limit_follows_the_interpreter(self, no_comb, monkeypatch):
+        for setting, limit in ((640, 640), (0, sys.int_info.default_max_str_digits)):
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: setting)
+            first = first_refused_diagonal(limit)
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                check_projective_space(first, first)
+            with pytest.raises(CombCalled):
+                check_projective_space(first - 1, first - 1)
+
+    def test_huge_n_small_d_passes_the_guard(self):
+        # C(10^18 + 3, 3) has 54 digits
+        n = 10**18
+        r = check_projective_space(n, 3)
+        assert r.ok and r.rank == (n + 3) * (n + 2) * (n + 1) // 6 - 1
+        assert len(str(r.rank)) == 54
 
     def test_json_shape(self):
         data = check_projective_space(2, 3).to_json_dict()
@@ -108,3 +144,4 @@ class TestProductCheck:
         results = grid_report()
         assert [(r.n, r.d) for r in results] == list(itertools.product(range(1, 5), range(1, 7)))
         assert all(r.ok for r in results)
+        assert all((r.rank, r.target_dim) == section_rank_oracle(r.n, r.d) for r in results)

@@ -73,7 +73,7 @@ def test_schema_names():
 
 def test_ring_members():
     ctx = RingContext(2, 4)
-    assert public(dir(ctx)) == ["dim", "fits", "k", "n", "top", "width"]
+    assert public(dir(ctx)) == ["dim", "fits", "k", "n", "width"]
     assert public(dir(Partition())) == ["conjugate", "part", "parts"]
     assert public(dir(ChowElement(ctx))) == [
         "coefficient",
