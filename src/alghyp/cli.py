@@ -125,7 +125,7 @@ def parse_chow(k: int, n: int, text: str) -> ChowElement:
             raise CLIError(f"expected {want} at position {pos} in {text!r}")
         coeff, lam = _parse_chow_term(match)
         if not ctx.fits(lam):
-            raise CLIError(f"{list(lam.parts)} does not fit the G({k},{n}) box")
+            raise CLIError(f"{list(lam)} does not fit the G({k},{n}) box")
         terms[lam] = terms.get(lam, 0) + (-coeff if match["sign"] == "-" else coeff)
         pos = match.end()
     return ChowElement(ctx, terms)
@@ -328,16 +328,16 @@ def _cmd_schubert_dual(args):
             {
                 "k": args.k,
                 "n": args.n,
-                "partition": list(lam.parts),
-                "complement": list(comp.parts),
+                "partition": list(lam),
+                "complement": list(comp),
                 "dual_k": dual_ctx.k,
-                "dual_partition": list(conj.parts),
+                "dual_partition": list(conj),
             }
         )
     return "\n".join(
         [
-            f"complement in G({args.k},{args.n}): s[{','.join(map(str, comp.parts))}]",
-            f"transpose dual in G({dual_ctx.k},{dual_ctx.n}): s[{','.join(map(str, conj.parts))}]",
+            f"complement in G({args.k},{args.n}): s[{','.join(map(str, comp))}]",
+            f"transpose dual in G({dual_ctx.k},{dual_ctx.n}): s[{','.join(map(str, conj))}]",
         ]
     )
 

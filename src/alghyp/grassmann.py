@@ -1,19 +1,19 @@
 """Exact Schubert calculus in the Chow ring of the Grassmannian G(k, n).
 
 Classes are indexed by partitions inside the k x (n-k) box.  `_checked`
-is the one partition validator and yields a trimmed int tuple;
-`ChowElement` keys its terms by those tuples and builds the
-`Partition`-keyed `terms` only when a caller reads it.  Each content term
-of a product takes one of three routes: a single column 1^p (sigma_1
-included) is one vertical strip, a single row p one horizontal strip
-(Pieri's rule), and any other term one Littlewood-Richardson stage per
-row, kept while the reverse reading word is a lattice word, with partial
-fillings of equal shape and last-letter row counts merged.  There are no
-signs and no cache, and every product term passes the partition,
-coefficient and box checks of `ChowElement`.  An independent
-Schur-polynomial oracle lives in the tests.  All coefficients are Python
-ints; inputs that are not integers are rejected, not truncated.  All
-values are immutable, and every operation is a pure function.
+is the one partition validator and yields a trimmed `Partition`, an int
+tuple; `ChowElement` keys its one term dict by them, and `terms` is a
+read-only view of that dict.  Each content term of a product takes one
+of three routes: a single column 1^p (sigma_1 included) is one vertical
+strip, a single row p one horizontal strip (Pieri's rule), and any other
+term one Littlewood-Richardson stage per row, kept while the reverse
+reading word is a lattice word, with partial fillings of equal shape and
+last-letter row counts merged.  There are no signs and no cache, and
+every product term passes the partition, coefficient and box checks of
+`ChowElement`.  An independent Schur-polynomial oracle lives in the
+tests.  All coefficients are Python ints; inputs that are not integers
+are rejected, not truncated.  All values are immutable, and every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -23,68 +23,53 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 
-class Partition:
+class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers, trailing zeros trimmed.
 
-    >>> Partition([3, 1, 0]).parts
-    (3, 1)
-    >>> Partition([3, 1]).conjugate().parts
-    (2, 1, 1)
+    `_checked` builds every instance, so each term key of a `ChowElement`
+    is one; it equals and hashes as its plain tuple.
+
+    >>> Partition([3, 1, 0])
+    Partition([3, 1])
+    >>> Partition([3, 1]) == (3, 1)
+    True
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        object.__setattr__(self, "parts", _checked(parts))
+    def __new__(cls, parts=()):
+        return _checked(parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def part(self, i: int) -> int:
-        """i-th part (0-based), 0 beyond the last row."""
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition()
-        return Partition(
-            tuple(sum(1 for p in self.parts if p > i) for i in range(self.parts[0]))
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+    @property
+    def parts(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
 
-def _checked(parts) -> tuple:
-    """The parts of a partition as a trimmed int tuple, or ValueError: the
-    parts must be integers, nonnegative and weakly decreasing."""
+def _checked(parts) -> Partition:
+    """`parts` as a trimmed `Partition`, or ValueError: the parts must be
+    integers, nonnegative and weakly decreasing."""
     if isinstance(parts, Partition):
-        return parts.parts
+        return parts
     try:
-        parts = tuple(map(operator.index, parts))
+        lam = tuple.__new__(Partition, map(operator.index, parts))
     except TypeError:
         raise ValueError(f"partition parts must be integers, got {parts!r}") from None
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    while lam and lam[-1] == 0:
+        lam = tuple.__new__(Partition, lam[:-1])
     # weakly decreasing with a nonnegative last part means no negative part
-    if any(map(operator.lt, parts, parts[1:])) or (parts and parts[-1] < 0):
-        if min(parts) < 0:
-            raise ValueError(f"negative part in {parts}")
-        raise ValueError(f"parts not weakly decreasing: {parts}")
-    return parts
+    if any(map(operator.lt, lam, lam[1:])) or (lam and lam[-1] < 0):
+        if min(lam) < 0:
+            raise ValueError(f"negative part in {tuple(lam)}")
+        raise ValueError(f"parts not weakly decreasing: {tuple(lam)}")
+    return lam
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """Transpose of the Young diagram."""
+    return _checked([sum(p > i for p in lam) for i in range(lam[0] if lam else 0)])
 
 
 @dataclass(frozen=True)
@@ -122,14 +107,13 @@ class ChowElement:
     """Formal integer combination of Schubert classes of a fixed G(k, n).
 
     Stored terms never include zero coefficients or out-of-box partitions;
-    instances are immutable.  Terms are held in a private dict keyed by
-    trimmed int tuples, each checked by `_checked`; the public `terms`, a
-    read-only mapping from `Partition`s to coefficients, is built on its
-    first read and is kept.  Use `make_class` to build basis classes with
-    the box-truncation convention.
+    instances are immutable.  Terms are held in one private dict keyed by
+    the `Partition`s that `_checked` returns; `terms` is a read-only view
+    of it.  Use `make_class` to build basis classes with the
+    box-truncation convention.
     """
 
-    __slots__ = ("context", "_terms", "_partitions")
+    __slots__ = ("context", "_terms")
 
     def __init__(self, context: RingContext, terms=None):
         clean = {}
@@ -140,16 +124,15 @@ class ChowElement:
                 c = operator.index(c)
             except TypeError:
                 raise ValueError(
-                    f"coefficient of {Partition(parts)!r} must be an integer, got {c!r}"
+                    f"coefficient of {parts!r} must be an integer, got {c!r}"
                 ) from None
             if c == 0:
                 continue
             if len(parts) > k or (parts and parts[0] > width):
-                raise ValueError(f"{Partition(parts)!r} does not fit the {context} box")
+                raise ValueError(f"{parts!r} does not fit the {context} box")
             clean[parts] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_partitions", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
@@ -157,17 +140,14 @@ class ChowElement:
     @property
     def terms(self) -> MappingProxyType:
         """The terms as a read-only {Partition: coefficient} mapping."""
-        if self._partitions is None:
-            view = MappingProxyType({Partition(lam): c for lam, c in self._terms.items()})
-            object.__setattr__(self, "_partitions", view)
-        return self._partitions
+        return MappingProxyType(self._terms)
 
     def coefficient(self, lam) -> int:
         return self._terms.get(_checked(lam), 0)
 
     def sorted_terms(self):
         """Terms in canonical order (partitions lex descending)."""
-        return sorted(self.terms.items(), key=lambda t: t[0].parts, reverse=True)
+        return sorted(self._terms.items(), reverse=True)
 
     def __eq__(self, other):
         return (
@@ -203,11 +183,11 @@ class ChowElement:
 
     def to_text(self) -> str:
         """Render as e.g. '3*s[2,1] + 5*s[1,1,1]' in canonical term order."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for lam, c in self.sorted_terms():
-            body = f"s[{','.join(str(p) for p in lam.parts)}]"
+            body = f"s[{','.join(map(str, lam))}]"
             if not pieces:
                 pieces.append(f"{c}*{body}")
             elif c >= 0:
@@ -222,7 +202,7 @@ class ChowElement:
             "k": self.context.k,
             "n": self.context.n,
             "terms": [
-                {"partition": list(lam.parts), "coeff": str(c)}
+                {"partition": list(lam), "coeff": str(c)}
                 for lam, c in self.sorted_terms()
             ],
         }
@@ -407,15 +387,15 @@ def integrate(x: ChowElement) -> int:
 
 def complement(ctx: RingContext, lam) -> Partition:
     """Partition pairing with lam to the point class under integration."""
-    lam = Partition(lam)
+    lam = _checked(lam)
     if not ctx.fits(lam):
         raise ValueError(f"{lam!r} does not fit the G({ctx.k},{ctx.n}) box")
-    return Partition(tuple(ctx.width - lam.part(ctx.k - 1 - j) for j in range(ctx.k)))
+    return _checked([ctx.width - p for p in reversed(lam + (0,) * (ctx.k - len(lam)))])
 
 
 def transpose_dual(ctx: RingContext, lam):
     """Conjugate partition in the dual Grassmannian G(n-k, n)."""
-    lam = Partition(lam)
+    lam = _checked(lam)
     if not ctx.fits(lam):
         raise ValueError(f"{lam!r} does not fit the G({ctx.k},{ctx.n}) box")
-    return RingContext(ctx.n - ctx.k, ctx.n), lam.conjugate()
+    return RingContext(ctx.n - ctx.k, ctx.n), _conjugate(lam)

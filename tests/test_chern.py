@@ -151,19 +151,6 @@ class TestPairedRearrangement:
                 "_vertical_strips": d // 2 + 1,
             }, d
 
-    def test_builds_no_partition_until_terms_is_read(self, monkeypatch):
-        built = []
-        inner = Partition.__init__
-
-        def counted(self, parts=()):
-            built.append(parts)
-            inner(self, parts)
-
-        monkeypatch.setattr(Partition, "__init__", counted)
-        result = paired_rearrangement(20)
-        assert built == []
-        assert len(result.terms) == len(built) > 0
-
     def test_rejects_small_box(self):
         with pytest.raises(ValueError, match="N must be >= 4"):
             paired_rearrangement(4, 3)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import alghyp.grassmann as grassmann
-from alghyp.chern import top_chern_sym
+from alghyp.chern import paired_rearrangement, top_chern_sym
 from alghyp.grassmann import (
     ChowElement,
     Partition,
@@ -44,13 +44,18 @@ def element_from_json(data):
     )
 
 
+def part(lam, i):
+    """i-th part (0-based), 0 beyond the last row."""
+    return lam[i] if i < len(lam) else 0
+
+
 def brute_horizontal_products(ctx, p, lam):
     """sigma_p * sigma_lam by filtering every box partition (oracle)."""
     out = {}
     for mu in all_box_partitions(ctx.k, ctx.width):
-        if sum(mu.parts) != sum(lam.parts) + p or any(mu.part(i) < m for i, m in enumerate(lam)):
+        if sum(mu.parts) != sum(lam.parts) + p or any(part(mu, i) < m for i, m in enumerate(lam)):
             continue
-        if all(lam.part(i) >= mu.part(i + 1) for i in range(ctx.k)):
+        if all(part(lam, i) >= part(mu, i + 1) for i in range(ctx.k)):
             out[mu] = 1
     return out
 
@@ -87,9 +92,9 @@ class TestPartition:
         assert Partition([3, 1, 0, 0]).parts == (3, 1)
 
     def test_conjugate(self):
-        assert Partition([3, 1]).conjugate().parts == (2, 1, 1)
-        assert Partition([]).conjugate().parts == ()
-        assert Partition([2, 2]).conjugate().parts == (2, 2)
+        assert grassmann._conjugate(Partition([3, 1])).parts == (2, 1, 1)
+        assert grassmann._conjugate(Partition([])).parts == ()
+        assert grassmann._conjugate(Partition([2, 2])).parts == (2, 2)
 
     def test_immutable_and_hashable(self):
         lam = Partition([2, 1])
@@ -161,12 +166,19 @@ class TestChowElementInput:
 
 
 class TestTupleStorage:
-    """Terms are kept under int tuple keys; `terms` is a Partition view."""
+    """Terms are kept under `Partition` keys, which are checked int tuples;
+    `terms` is a read-only view of them."""
 
-    def test_terms_view_is_built_once(self):
+    def test_partition_equals_its_tuple(self):
+        ctx = RingContext(3, 6)
+        assert Partition((2, 1)) == (2, 1)
+        assert hash(Partition((2, 1))) == hash((2, 1))
+        x = make_class(ctx, [2, 1, 0])
+        assert x.terms == {(2, 1): 1}
+
+    def test_terms_view_is_read_only(self):
         ctx = RingContext(3, 6)
         x = make_class(ctx, (2, 1)) + 3 * make_class(ctx, Partition([1]))
-        assert x.terms is x.terms
         assert x.terms == {Partition([2, 1]): 1, Partition([1]): 3}
         with pytest.raises(TypeError):
             x.terms[Partition([1])] = 5
@@ -193,26 +205,22 @@ class TestTupleStorage:
                 x.coefficient(parts)
             assert str(err.value) == message
 
-    def test_products_build_no_partition(self, monkeypatch):
-        # sigma_1 multiplied up to the point class of G(3,6) builds no
-        # Partition; reading the result's terms builds exactly one
-        built = []
-        inner = Partition.__init__
-
-        def counted(self, parts=()):
-            built.append(parts)
-            inner(self, parts)
-
-        monkeypatch.setattr(Partition, "__init__", counted)
+    def test_reading_terms_checks_no_partition(self, monkeypatch):
+        # a product checks each term once, as it is built; reading the terms
+        # back, sorted or rendered, checks none again, and every key is a
+        # Partition
         ctx = RingContext(3, 6)
         s1 = make_class(ctx, (1,))
         x = s1
         for _ in range(ctx.dim - 1):
             x = multiply(x, s1)
-        assert integrate(x) == 42 and built == []
-        terms = x.terms
-        assert len(built) == 1
-        assert [(lam.parts, c) for lam, c in terms.items()] == [((3, 3, 3), 42)]
+        results = (x, paired_rearrangement(20))
+        checks = counting(monkeypatch, "_checked")
+        for y in results:
+            assert y.terms and y.sorted_terms() and y.to_text() and y.to_json_dict()
+            assert all(type(lam) is Partition for lam in y.terms)
+        assert checks == []
+        assert [(lam.parts, c) for lam, c in x.sorted_terms()] == [((3, 3, 3), 42)]
 
 
 class TestPieri:
@@ -270,8 +278,8 @@ class TestPieriVertical:
         for lam in all_box_partitions(3, 4, 6):
             for p in range(0, 4):
                 got = multiply(make_class(ctx, (1,) * p), make_class(ctx, lam)).terms
-                via = multiply(make_class(dual, (p,)), make_class(dual, lam.conjugate())).terms
-                assert got == {mu.conjugate(): c for mu, c in via.items()}
+                via = multiply(make_class(dual, (p,)), make_class(dual, grassmann._conjugate(lam))).terms
+                assert got == {grassmann._conjugate(mu): c for mu, c in via.items()}
 
 
 class TestMultiply:
@@ -387,7 +395,7 @@ class TestProductWork:
         dual, lam_t = transpose_dual(ctx, lam)
         _, mu_t = transpose_dual(ctx, mu)
         via = multiply(make_class(dual, lam_t), make_class(dual, mu_t))
-        assert prod.terms == {nu.conjugate(): c for nu, c in via.terms.items()}
+        assert prod.terms == {grassmann._conjugate(nu): c for nu, c in via.terms.items()}
         assert all(c > 0 for c in prod.terms.values())
 
 
@@ -450,7 +458,7 @@ class TestTransposeSymmetry:
                 prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
                 via = multiply(make_class(dual, lam_t), make_class(dual, mu_t))
                 assert prod.terms
-                assert prod.terms == {nu.conjugate(): c for nu, c in via.terms.items()}, (k, lam, mu)
+                assert prod.terms == {grassmann._conjugate(nu): c for nu, c in via.terms.items()}, (k, lam, mu)
                 checked += 1
         assert checked == 12
 

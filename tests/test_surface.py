@@ -74,7 +74,7 @@ def test_schema_names():
 def test_ring_members():
     ctx = RingContext(2, 4)
     assert public(dir(ctx)) == ["dim", "fits", "k", "n", "width"]
-    assert public(dir(Partition())) == ["conjugate", "part", "parts"]
+    assert public(dir(Partition())) == ["count", "index", "parts"]
     assert public(dir(ChowElement(ctx))) == [
         "coefficient",
         "context",
@@ -86,7 +86,9 @@ def test_ring_members():
 
 
 def test_ring_operators():
-    # the ring surface is +, integer scaling and multiply()
+    # the ring surface is +, integer scaling and multiply(); a Partition is
+    # a tuple and defines no arithmetic of its own
+    assert issubclass(Partition, tuple)
     arithmetic = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__getitem__")
     assert [name for name in arithmetic if name in vars(ChowElement)] == ["__add__", "__rmul__"]
     assert [name for name in arithmetic if name in vars(Partition)] == []
