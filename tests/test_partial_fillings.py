@@ -117,17 +117,6 @@ def grid():
             yield x, make_class(ctx, (1,) * p)
 
 
-def test_grid_routes_through_every_kernel():
-    routes = {"column": 0, "row": 0, "other": 0}
-    for x, y in grid():
-        rows = max(map(len, x._terms), default=0), max(map(len, y._terms), default=0)
-        content = y if rows[0] >= rows[1] else x
-        for mu in content._terms:
-            route = "column" if mu[:1] == (1,) else "row" if len(mu) == 1 else "other"
-            routes[route] += 1
-    assert min(routes.values()) >= 50, routes
-
-
 def test_partial_fillings_are_pinned():
     with FillingCounter() as counter:
         for x, y in grid():
