@@ -151,6 +151,22 @@ class TestPairedRearrangement:
                 "_vertical_strips": d // 2 + 1,
             }, d
 
+    def test_builds_no_partition_until_terms_is_read(self, monkeypatch):
+        # the result's keys are the Partitions its products built; reading
+        # its terms back, sorted or rendered, builds none
+        result = paired_rearrangement(20)
+        checks = []
+        inner = grassmann._checked
+
+        def counted(parts):
+            checks.append(parts)
+            return inner(parts)
+
+        monkeypatch.setattr(grassmann, "_checked", counted)
+        assert result.terms and result.sorted_terms() and result.to_text() and result.to_json_dict()
+        assert checks == []
+        assert all(type(lam) is Partition for lam in result.terms)
+
     def test_rejects_small_box(self):
         with pytest.raises(ValueError, match="N must be >= 4"):
             paired_rearrangement(4, 3)
