@@ -181,8 +181,28 @@ def _parse_range(raw: str):
     return lo, hi
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent="\n") -> str:
+    """The text of `json.dumps(obj, indent=2)`, written directly, because
+    with an indent that call takes the pure-Python encoder.  A report holds
+    dicts with string keys, lists, tuples, strings, ints, bools and None;
+    any other value or key raises TypeError."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [inner + _quote(key) + ": " + _json_text(value, inner) for key, value in obj.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json_text(value, inner) for value in obj]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _eps_str(eps) -> str:

@@ -5,41 +5,41 @@ reported as a coefficient vector c with 2g - 2 >= sum c_i e_i.  Since e
 ranges over nonnegative integer vectors, the certified hyperbolicity
 constant of a bound is simply min_i c_i, and the certificate for a
 hypersurface is the minimum over all proof cases and all choices of the
-distinguished factor.  Arithmetic is exact throughout (`fractions`).
+distinguished factor.  Arithmetic is exact throughout: every entry of
+one vector has the same denominator (1, 2 or d_j), so a vector is kept as
+integer numerators over that denominator, and the certificate is chosen
+by comparing integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .varieties import VarietyDescriptor, check_degrees
 
 
 def _case_a(variety, degrees) -> tuple:
     d, a = degrees, variety.a
-    return tuple(Fraction(a[i] + d[i] - variety.D + 3) for i in range(variety.m))
+    return tuple(a[i] + d[i] - variety.D + 3 for i in range(variety.m)), 1
 
 
 def _case_b(variety, degrees, j) -> tuple:
     d, a = degrees, variety.a
     return tuple(
-        Fraction(2 * (a[i] + d[i] - variety.D + 2) + 1, 2)
-        if i == j
-        else Fraction(a[i] + d[i] - 1)
+        2 * (a[i] + d[i] - variety.D + 2) + 1 if i == j else 2 * (a[i] + d[i] - 1)
         for i in range(variety.m)
-    )
+    ), 2
 
 
 def _case_c(variety, degrees, j) -> tuple:
     """Scroll case C with factor j distinguished; defined only for d_j >= 2."""
     d, a = degrees, variety.a
     return tuple(
-        Fraction((a[i] + d[i] - variety.D + 2) * d[j] + 1, d[j])
-        if i == j
-        else Fraction((a[i] + d[i]) * d[j] - d[i], d[j])
+        (a[i] + d[i] - variety.D + 2) * d[j] + 1 if i == j else (a[i] + d[i]) * d[j] - d[i]
         for i in range(variety.m)
-    )
+    ), d[j]
 
 
 _CASE_C_FLAG = (
@@ -54,14 +54,20 @@ _SMALL_DEGREE_FLAG = (
 @dataclass(frozen=True)
 class CaseBound:
     """One evaluated proof case: label, distinguished index (None for the
-    uniform case), and the exact coefficient vector."""
+    uniform case), and the exact coefficient vector as integer numerators
+    over one positive denominator."""
 
     case: str
     j: int | None
-    coefficients: tuple
+    numerators: tuple
+    denominator: int
+
+    @property
+    def coefficients(self) -> tuple:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def minimum(self) -> Fraction:
-        return min(self.coefficients)
+        return Fraction(min(self.numerators), self.denominator)
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,19 +109,23 @@ def hyperbolicity_certificate(
     it is reported only when positive and when every case was evaluable.
     """
     degrees = check_degrees(variety, degrees)
-    cases = [CaseBound("A", None, _case_a(variety, degrees))]
+    cases = [CaseBound("A", None, *_case_a(variety, degrees))]
     complete = True
     for j in range(variety.m):
-        cases.append(CaseBound("B", j, _case_b(variety, degrees, j)))
+        cases.append(CaseBound("B", j, *_case_b(variety, degrees, j)))
         if degrees[j] >= 2:
-            cases.append(CaseBound("C", j, _case_c(variety, degrees, j)))
+            cases.append(CaseBound("C", j, *_case_c(variety, degrees, j)))
         else:
             complete = False
-    # the lowest (minimum, case, j) binds; uniform case A sorts as j = -1
-    eps, _, _, at = min(
-        (c.minimum(), c.case, -1 if c.j is None else c.j, at) for at, c in enumerate(cases)
+    # the lowest (minimum, case, j) binds, each minimum scaled to the common
+    # denominator; uniform case A sorts as j = -1
+    scale = lcm(2, *degrees)
+    *_, at = min(
+        (min(c.numerators) * (scale // c.denominator), c.case, -1 if c.j is None else c.j, at)
+        for at, c in enumerate(cases)
     )
     binding = cases[at]
+    eps = binding.minimum()
     flags = [_CASE_C_FLAG]
     if not complete:
         flags.append(_SMALL_DEGREE_FLAG)

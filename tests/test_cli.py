@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -24,7 +25,7 @@ from alghyp.cli import (
 from alghyp.grassmann import ChowElement, Partition, RingContext
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
-from tests.test_cli_golden import ALL_COMMANDS, HELP, REJECTED
+from tests.test_cli_golden import ALL_COMMANDS, GOLDEN, HELP, REJECTED
 from tests.test_sections import first_refused_diagonal
 
 
@@ -344,6 +345,52 @@ class TestDeterminism:
             check=True,
         )
         assert proc.stdout == out
+
+
+class TestJsonWriter:
+    """`_json_text` writes the text of `json.dumps(obj, indent=2)`."""
+
+    def test_golden_reports(self):
+        entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        reports = [json.loads(e["stdout"]) for e in entries if "--json" in e["argv"] and e["exit"] == 0]
+        assert len(reports) >= 15
+        for report in reports:
+            assert cli._json_text(report) == json.dumps(report, indent=2)
+
+    def test_nested_values(self):
+        """Nested dicts, lists and tuples, empty ones included, with
+        non-ASCII and control-character strings, bools, None and ints
+        past 2**53."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        texts = st.text(st.one_of(st.characters(), st.sampled_from('\x00\x1f\x7f"\\/\u2028\U0001f600')), max_size=5)
+        leaves = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), texts)
+        values = st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=3),
+                st.lists(inner, max_size=3).map(tuple),
+                st.dictionaries(texts, inner, max_size=3),
+            ),
+            max_leaves=12,
+        )
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(values)
+        @example({"": [(), {}, [[]]], "\u00e9": (2**53 + 1, -(2**64), True, None)})
+        def check(obj):
+            assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+        check()
+
+    @pytest.mark.parametrize("leaf", [Fraction(1, 2), 0.5])
+    def test_other_leaves_exit_2(self, capsys, monkeypatch, leaf):
+        monkeypatch.setattr(cli.chern, "line_count", lambda n: leaf)
+        code, out, err = run_cli(capsys, "line-count", "--n", "4", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: TypeError(")
 
 
 def parse_outcome(parse, argv):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alghyp.genus import hyperbolicity_certificate
+from alghyp.genus import CaseBound, hyperbolicity_certificate
 from alghyp.varieties import (
     grassmannian,
     hyperbolicity_threshold,
@@ -168,6 +168,13 @@ class TestCaseOracle:
             tied = [c for c in report.cases if c.minimum() == low]
             assert len(tied) >= 2
             assert (report.binding.case, report.binding.j) == binding
+
+
+def test_case_bound_reads_its_numerators_over_one_denominator():
+    c = CaseBound("C", 0, (3, -4), 6)
+    assert c.coefficients == (Fraction(1, 2), Fraction(-2, 3))
+    assert c.minimum() == Fraction(-2, 3)
+    assert c.to_json_dict() == {"case": "C", "j": 0, "coefficients": ["1/2", "-2/3"]}
 
 
 class TestCertificate:
