@@ -439,6 +439,54 @@ def _cmd_sweep(args):
     )
 
 
+def _arg(kind=str, help=None, required=True):
+    return kind, required, help
+
+
+# The grammar, each command once: its name (a schubert leaf is the pair
+# "schubert", leaf), function, help, and its arguments in order, each as
+# (type, required, help) under its name.  A name that starts with "--" is
+# a flag, and a flag of type bool a switch; a positional of type list takes
+# one or more strings.  Every command also takes the shared flags.
+_SHARED = {
+    "--json": _arg(bool, "emit JSON", False),
+    "--out": _arg(help="write output to FILE instead of stdout", required=False),
+}
+_VARIETY = {"variety": _arg()}
+_BOX = {"--k": _arg(integer), "--n": _arg(integer)}
+_GROUPS = {"schubert": "Schubert calculus in G(k,n)"}
+_COMMANDS = {
+    ("info",): (_cmd_info, "describe a variety", _VARIETY),
+    ("threshold",): (_cmd_threshold, "hyperbolicity and line thresholds", _VARIETY),
+    ("classify",): (_cmd_classify, "classify a multidegree", {**_VARIETY, "--deg": _arg(help="d1,d2,...")}),
+    ("fano-class",): (
+        _cmd_fano_class, "expansion of the line-scheme class", {"--d": _arg(integer), "--N": _arg(integer)}
+    ),
+    ("line-count",): (_cmd_line_count, "finite line count on a hypersurface", {"--n": _arg(integer)}),
+    ("schubert", "mul"): (
+        _cmd_schubert_mul, None, {**_BOX, "factors": _arg(list, "class expressions, e.g. 's[2,1]'")}
+    ),
+    ("schubert", "integrate"): (_cmd_schubert_integrate, None, {**_BOX, "expr": _arg()}),
+    ("schubert", "dual"): (
+        _cmd_schubert_dual, None, {**_BOX, "partition": _arg(help="single class, e.g. 's[3,1]'")}
+    ),
+    ("genus-bound",): (_cmd_genus_bound, "per-case genus lower bounds", {**_VARIETY, "--deg": _arg()}),
+    ("certify",): (_cmd_certify, "hyperbolicity certificate", {**_VARIETY, "--deg": _arg()}),
+    ("section-dom",): (
+        _cmd_section_dom,
+        "section-domination rank checks",
+        {
+            "--n": _arg(integer, required=False),
+            "--d": _arg(integer, required=False),
+            "--grid": _arg(bool, "run the full desk-scale grid", False),
+        },
+    ),
+    ("sweep",): (
+        _cmd_sweep, "classification and epsilon over a degree range", {**_VARIETY, "--range": _arg(help="lo..hi")}
+    ),
+}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises `CLIError` instead of exiting, and maps each of its command
     names to that command's parser in `commands`."""
@@ -456,77 +504,35 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _ArgumentParser:
-    """The argparse tree, built on the first `main` call and shared by
-    every later call in the process.  `parse_args` keeps no state on it
-    between calls, and the parser is never mutated after it is built.
+    """The argparse tree of `_COMMANDS`, built on the first call that needs
+    it and shared by every later call in the process.  `parse_args` keeps
+    no state on it between calls, and the parser is never mutated after it
+    is built.
     """
     parser = _ArgumentParser(
         prog="alghyp",
         description="Exact thresholds and certificates for algebraic "
         "hyperbolicity of hypersurfaces in homogeneous varieties.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the flags every command takes
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit JSON")
-    shared.add_argument("--out", help="write output to FILE instead of stdout")
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, parents=[shared])
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (func, help_text, arguments) in _COMMANDS.items():
+        group = path[:-1]
+        if group not in subparsers:
+            subparsers[group] = (
+                subparsers[()]
+                .add_parser(group[0], help=_GROUPS[group[0]])
+                .add_subparsers(dest="subcommand", required=True)
+            )
+        # a leaf without help text stays out of its group's command list
+        p = subparsers[group].add_parser(path[-1], **({"help": help_text} if help_text else {}))
         p.set_defaults(func=func)
-        return p
-
-    p = add("info", _cmd_info, "describe a variety")
-    p.add_argument("variety")
-
-    p = add("threshold", _cmd_threshold, "hyperbolicity and line thresholds")
-    p.add_argument("variety")
-
-    p = add("classify", _cmd_classify, "classify a multidegree")
-    p.add_argument("variety")
-    p.add_argument("--deg", required=True, help="d1,d2,...")
-
-    p = add("fano-class", _cmd_fano_class, "expansion of the line-scheme class")
-    p.add_argument("--d", type=integer, required=True)
-    p.add_argument("--N", type=integer, required=True)
-
-    p = add("line-count", _cmd_line_count, "finite line count on a hypersurface")
-    p.add_argument("--n", type=integer, required=True)
-
-    ps = sub.add_parser("schubert", help="Schubert calculus in G(k,n)")
-    ssub = ps.add_subparsers(dest="subcommand", required=True)
-
-    def add_schubert(name, func):
-        q = ssub.add_parser(name, parents=[shared])
-        q.set_defaults(func=func)
-        q.add_argument("--k", type=integer, required=True)
-        q.add_argument("--n", type=integer, required=True)
-        return q
-
-    q = add_schubert("mul", _cmd_schubert_mul)
-    q.add_argument("factors", nargs="+", help="class expressions, e.g. 's[2,1]'")
-    q = add_schubert("integrate", _cmd_schubert_integrate)
-    q.add_argument("expr")
-    q = add_schubert("dual", _cmd_schubert_dual)
-    q.add_argument("partition", help="single class, e.g. 's[3,1]'")
-
-    p = add("genus-bound", _cmd_genus_bound, "per-case genus lower bounds")
-    p.add_argument("variety")
-    p.add_argument("--deg", required=True)
-
-    p = add("certify", _cmd_certify, "hyperbolicity certificate")
-    p.add_argument("variety")
-    p.add_argument("--deg", required=True)
-
-    p = add("section-dom", _cmd_section_dom, "section-domination rank checks")
-    p.add_argument("--n", type=integer)
-    p.add_argument("--d", type=integer)
-    p.add_argument("--grid", action="store_true", help="run the full desk-scale grid")
-
-    p = add("sweep", _cmd_sweep, "classification and epsilon over a degree range")
-    p.add_argument("variety")
-    p.add_argument("--range", required=True, help="lo..hi")
-
+        for name, (kind, required, help_arg) in {**_SHARED, **arguments}.items():
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=help_arg)
+            elif name.startswith("-"):
+                p.add_argument(name, type=kind, required=required, help=help_arg)
+            else:
+                p.add_argument(name, nargs="+" if kind is list else None, help=help_arg)
     return parser
 
 
@@ -561,6 +567,62 @@ def _parse_args(argv: list) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _fast_parse(argv: list) -> argparse.Namespace | None:
+    """The namespace `_build_parser().parse_args(argv)` gives, read from
+    `_COMMANDS` without argparse when argv is plain; None otherwise.
+
+    Plain means: the command's name (two for a schubert leaf), then exact
+    flag names, each at most once and each value flag followed by a value
+    that does not start with '-'; no other string that starts with '-'
+    ('-h', '--', '--flag=value' and abbreviations included); every required
+    flag; integer values that `integer` reads; and the positionals in one
+    run, as many as the command takes.  On None the caller parses with
+    argparse, which words every error and help text.
+    """
+    head = 2 if argv[:1] == ["schubert"] else 1
+    command = _COMMANDS.get(tuple(argv[:head]))
+    if command is None:
+        return None
+    func, _, arguments = command
+    fields = {"command": argv[0], "func": func}
+    if head == 2:
+        fields["subcommand"] = argv[1]
+    run, i = [], head  # the indices of the positionals
+    while i < len(argv):
+        arg = argv[i]
+        if arg[:1] != "-":
+            if run and run[-1] != i - 1:
+                return None  # a second run of positionals
+            run.append(i)
+            i += 1
+            continue
+        spec = arguments.get(arg) or _SHARED.get(arg)
+        if spec is None or arg[2:] in fields:
+            return None
+        kind, i = spec[0], i + 1
+        if kind is bool:
+            fields[arg[2:]] = True
+            continue
+        if i == len(argv) or argv[i][:1] == "-":
+            return None
+        try:
+            fields[arg[2:]] = integer(argv[i]) if kind is integer else argv[i]
+        except CLIError:
+            return None
+        i += 1
+    given = [argv[i] for i in run]
+    for name, (kind, required, _) in {**_SHARED, **arguments}.items():
+        if name[:1] != "-":
+            if not given:
+                return None
+            fields[name], given = (given, []) if kind is list else (given[0], given[1:])
+        elif name[2:] not in fields:
+            if required:
+                return None
+            fields[name[2:]] = False if kind is bool else None
+    return None if given else argparse.Namespace(**fields)
+
+
 def _attach_signed_values(argv) -> list:
     """Join `--range -5..3` into `--range=-5..3`, and `--deg -5,3` or an
     abbreviation (`--ran`, `--de`) alike: argparse reads a value that starts
@@ -581,7 +643,10 @@ def _attach_signed_values(argv) -> list:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(_attach_signed_values(argv))
+        argv = _attach_signed_values(argv)
+        args = _fast_parse(argv)
+        if args is None:
+            args = _parse_args(argv)
         payload = args.func(args) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -14,6 +14,7 @@ from alghyp.cli import (
     CLIError,
     _attach_signed_values,
     _build_parser,
+    _fast_parse,
     _parse_args,
     _parse_degrees,
     _parse_range,
@@ -429,10 +430,94 @@ def test_one_pass_parse_matches_the_root_parse(argv):
     assert parse_outcome(_parse_args, argv) == parse_outcome(_build_parser().parse_args, argv)
 
 
+# argv that are not plain, so that the fast parser leaves them to argparse:
+# help, '--', a joined or abbreviated flag, a repeated flag or switch, values
+# that start with '-' (a signed value is joined to its flag), a bad integer,
+# a missing required flag or value, a wrong positional count, factors that
+# are not one run, and a command name that is one string
+NOT_PLAIN = (
+    ("info", "P(2)", "-h"),
+    ("schubert", "mul", "--help"),
+    ("info", "--", "P(2)"),
+    ("classify", "P(4)", "--deg=6"),
+    ("classify", "P(4)", "--de", "6"),
+    ("classify", "P(4)", "--deg", "6", "--deg", "7"),
+    ("info", "P(2)", "--json", "--json"),
+    ("fano-class", "--d", "-5", "--N", "7"),
+    ("sweep", "P(4)", "--range", "-5..3"),
+    ("info", "-", "P(2)"),
+    ("info", "P(2)", "--out", "-x"),
+    ("line-count", "--n", "1_0"),
+    ("line-count", "--n", "\u0663"),
+    ("classify", "P(4)", "--deg"),
+    ("fano-class", "--d", "4"),
+    ("info",),
+    ("info", "P(2)", "P(3)"),
+    ("schubert", "mul", "--k", "2", "--n", "4"),
+    ("schubert", "mul", "--k", "2", "s[1]", "--n", "4", "s[1]"),
+    ("schubert", "frob"),
+    ("schubert mul", "--k", "2", "--n", "4", "s[1]"),
+)
+
+
+def fast_matches_argparse(argv):
+    """`_fast_parse` gives None or the namespace of the root parse, which
+    then must not refuse argv; returns whether it took the fast path."""
+    argv = _attach_signed_values(list(argv))
+    namespace = _fast_parse(argv)
+    if namespace is not None:
+        assert namespace == _build_parser().parse_args(argv), argv
+    return namespace is not None
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS + REJECTED + HELP + PARSE_EDGES + NOT_PLAIN, ids=" ".join)
+def test_fast_parse_matches_argparse(argv):
+    assert fast_matches_argparse(argv) == (argv in ALL_COMMANDS)
+
+
+def test_fast_parse_matches_argparse_on_mutated_argv():
+    """One-token mutations of the golden argv: a deletion, an inserted or
+    appended token ('-h', '--', '=', signed values, flags, positionals), a
+    swap of two tokens, or two tokens joined by '='."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    tokens = st.sampled_from(
+        ["-h", "--", "=", "-5", "-5..3", "-1,2", "--json", "--out", "--deg", "--de", "--deg=6", "--range",
+         "--n", "--N", "--k", "--d", "--grid", "s[1]", "P(2)", "6", "5..8", "x", "", "schubert", "mul"]
+    )
+
+    @st.composite
+    def mutated(draw):
+        argv = list(draw(st.sampled_from(ALL_COMMANDS)))
+        i = draw(st.integers(0, len(argv) - 1))
+        j = draw(st.integers(0, len(argv) - 1))
+        how = draw(st.sampled_from(["delete", "insert", "append", "swap", "join"]))
+        if how == "delete":
+            del argv[i]
+        elif how == "insert":
+            argv.insert(i, draw(tokens))
+        elif how == "append":
+            argv.append(draw(tokens))
+        elif how == "swap":
+            argv[i], argv[j] = argv[j], argv[i]
+        elif i + 1 < len(argv):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        return tuple(argv)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(mutated())
+    def check(argv):
+        fast_matches_argparse(argv)
+
+    check()
+
+
 def test_one_parse_per_call(monkeypatch, capsys):
-    """Each golden argv that starts with a command name is parsed by one
-    parse_known_args call (the root parse takes 2, and 3 for a schubert
-    leaf)."""
+    """A plain golden argv is parsed without argparse.  An argv that is not
+    plain and starts with a command name is parsed by one parse_known_args
+    call (the root parse takes 2, and 3 for a schubert leaf)."""
     calls = 0
     parse_known_args = cli._ArgumentParser.parse_known_args
 
@@ -442,11 +527,11 @@ def test_one_parse_per_call(monkeypatch, capsys):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._ArgumentParser, "parse_known_args", counting)
-    for argv in ALL_COMMANDS:
-        assert argv[0] in _build_parser().commands
-        calls = 0
-        main(list(argv))
-        assert calls == 1, argv
+    for argv in ALL_COMMANDS + NOT_PLAIN:
+        if argv[0] in _build_parser().commands:
+            calls = 0
+            main(list(argv))
+            assert calls == (argv in NOT_PLAIN), argv
     capsys.readouterr()
 
 
