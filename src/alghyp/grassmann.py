@@ -57,8 +57,11 @@ def _checked(parts) -> Partition:
         lam = tuple.__new__(Partition, map(operator.index, parts))
     except TypeError:
         raise ValueError(f"partition parts must be integers, got {parts!r}") from None
-    while lam and lam[-1] == 0:
-        lam = tuple.__new__(Partition, lam[:-1])
+    if lam and lam[-1] == 0:  # trim the zeros with one scan and one slice
+        end = len(lam) - 1
+        while end and lam[end - 1] == 0:
+            end -= 1
+        lam = tuple.__new__(Partition, lam[:end])
     # weakly decreasing with a nonnegative last part means no negative part
     if any(map(operator.lt, lam, lam[1:])) or (lam and lam[-1] < 0):
         if min(lam) < 0:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,29 @@ class TestPartition:
         assert Partition([3, 1, 0, 0]).parts == (3, 1)
         assert Partition([]).parts == ()
         assert Partition([0, 0]).parts == ()
+
+    def test_trailing_zeros_cost_one_slice(self):
+        """Trimming z trailing zeros builds the parts and one slice, not one
+        tuple per zero: a count of the `__new__` calls under a profile hook."""
+
+        def tuples_built(parts):
+            built = 0
+
+            def hook(frame, event, arg):
+                nonlocal built
+                built += event == "c_call" and getattr(arg, "__name__", None) == "__new__"
+
+            sys.setprofile(hook)
+            try:
+                lam = grassmann._checked(parts)
+            finally:
+                sys.setprofile(None)
+            assert lam == tuple(p for p in parts if p)
+            return built
+
+        for z in (0, 1, 10, 100):
+            assert tuples_built([3, 1] + [0] * z) <= 2
+            assert tuples_built([0] * z) <= 2
 
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
