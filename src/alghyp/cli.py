@@ -160,9 +160,9 @@ def _parse_degrees(raw: str):
         raise CLIError(f"bad degree list {raw!r}: expected d1,d2,...") from err
 
 
-# The most degrees one `sweep` evaluates.  A row costs about 0.05 ms for
-# P(4) and 0.1 ms for Gr(2,4)xP(2), render included (Python 3.11.7, Intel
-# Xeon, 2 CPUs), so the widest sweep takes about a second.
+# The most degrees one `sweep` evaluates.  A row costs about 0.03 ms for
+# P(4) and 0.04 ms for Gr(2,4)xP(2), text or JSON render included (Python
+# 3.11.7, Intel Xeon, 2 CPUs), so the widest sweep takes under half a second.
 _MAX_SWEEP_ROWS = 10_000
 
 
@@ -482,7 +482,9 @@ _COMMANDS = {
         },
     ),
     ("sweep",): (
-        _cmd_sweep, "classification and epsilon over a degree range", {**_VARIETY, "--range": _arg(help="lo..hi")}
+        _cmd_sweep,
+        "classification and epsilon over a degree range",
+        {**_VARIETY, "--range": _arg(help="lo..hi")},
     ),
 }
 
