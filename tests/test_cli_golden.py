@@ -116,8 +116,10 @@ def test_help_returns_0_in_process(golden, argv):
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
-    """After a first call, the golden argv construct no ArgumentParser."""
-    transcript(ALL_COMMANDS[0])
+    """After a first call that reaches argparse, the golden argv, which are
+    plain, and the argv that argparse refuses or answers with help construct
+    no ArgumentParser."""
+    transcript(REJECTED[0])
     built = 0
     init = argparse.ArgumentParser.__init__
 
@@ -127,7 +129,7 @@ def test_parser_is_built_once_per_process(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in ALL_COMMANDS:
+    for argv in ALL_COMMANDS + REJECTED + HELP:
         transcript(argv)
     assert built == 0
 
