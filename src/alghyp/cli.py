@@ -490,15 +490,7 @@ _COMMANDS = {
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises `CLIError` instead of exiting, and maps each of its command
-    names to that command's parser in `commands`."""
-
-    commands = {}  # a parser without subcommands; never mutated
-
-    def add_subparsers(self, **kwargs):
-        action = super().add_subparsers(**kwargs)
-        self.commands = action.choices  # filled in by each add_parser
-        return action
+    """Raises `CLIError` instead of exiting."""
 
     def error(self, message):
         raise CLIError(message)
@@ -552,21 +544,6 @@ def _input_error_text(err: Exception) -> str:
             " the interpreter's limit for printing an integer"
         )
     return str(err)
-
-
-def _parse_args(argv: list) -> argparse.Namespace:
-    """`_build_parser().parse_args(argv)`, except for `command` and
-    `subcommand`, parsed in one pass: step down by command name while the
-    head of argv names one, then parse the rest with the parser reached.
-
-    The subparsers action hands every string after the name to that
-    parser unchanged, and the parser raises its own errors, so the
-    namespace, the error text and the help text are the same.
-    """
-    parser = _build_parser()
-    while argv and argv[0] in parser.commands:
-        parser, argv = parser.commands[argv[0]], argv[1:]
-    return parser.parse_args(argv)
 
 
 def _fast_parse(argv: list) -> argparse.Namespace | None:
@@ -625,12 +602,14 @@ def _fast_parse(argv: list) -> argparse.Namespace | None:
     return None if given else argparse.Namespace(**fields)
 
 
-def _attach_signed_values(argv) -> list:
+def _attach_signed_values(argv: list) -> list:
     """Join `--range -5..3` into `--range=-5..3`, and `--deg -5,3` or an
     abbreviation (`--ran`, `--de`) alike: argparse reads a value that starts
-    with '-' and is not a plain number as a flag, but not a joined value."""
+    with '-' and is not a plain number as a flag, but not a joined value.
+    Runs only before the argparse fallback: a plain argv has no value that
+    starts with '-', so `_fast_parse` reads it unjoined."""
     out = []
-    for arg in sys.argv[1:] if argv is None else argv:
+    for arg in argv:
         flag = out[-1] if out else ""
         if (
             len(flag) > 2
@@ -645,10 +624,8 @@ def _attach_signed_values(argv) -> list:
 
 def main(argv=None) -> int:
     try:
-        argv = _attach_signed_values(argv)
-        args = _fast_parse(argv)
-        if args is None:
-            args = _parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _fast_parse(argv) or _build_parser().parse_args(_attach_signed_values(argv))
         payload = args.func(args) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,5 +1,4 @@
 import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from alghyp.cli import (
     _attach_signed_values,
     _build_parser,
     _fast_parse,
-    _parse_args,
     _parse_degrees,
     _parse_range,
     main,
@@ -394,26 +392,9 @@ class TestJsonWriter:
         assert err.startswith("internal error: TypeError(")
 
 
-def parse_outcome(parse, argv):
-    """What parsing argv gives: the namespace less the command names, a
-    CLIError's text, or a SystemExit's code and the stdout printed."""
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            namespace = parse(_attach_signed_values(list(argv)))
-    except CLIError as err:
-        return "error", str(err)
-    except SystemExit as stop:
-        return "exit", stop.code, out.getvalue()
-    fields = vars(namespace)
-    fields.pop("command", None)
-    fields.pop("subcommand", None)
-    return "namespace", fields
-
-
-# argv at the edges of stepping down by command name: no command, '--',
-# an extra positional, abbreviated flags, an unknown subcommand, and help
-# before a bad flag
+# argv at the edges of the root parse: no command, '--', an extra
+# positional, abbreviated flags, an unknown subcommand, and help before a
+# bad flag
 PARSE_EDGES = (
     (),
     ("info", "--", "P(2)"),
@@ -423,11 +404,6 @@ PARSE_EDGES = (
     ("schubert", "frob"),
     ("info", "P(2)", "-h", "--bogus"),
 )
-
-
-@pytest.mark.parametrize("argv", ALL_COMMANDS + REJECTED + HELP + PARSE_EDGES, ids=" ".join)
-def test_one_pass_parse_matches_the_root_parse(argv):
-    assert parse_outcome(_parse_args, argv) == parse_outcome(_build_parser().parse_args, argv)
 
 
 # argv that are not plain, so that the fast parser leaves them to argparse:
@@ -463,10 +439,9 @@ NOT_PLAIN = (
 def fast_matches_argparse(argv):
     """`_fast_parse` gives None or the namespace of the root parse, which
     then must not refuse argv; returns whether it took the fast path."""
-    argv = _attach_signed_values(list(argv))
-    namespace = _fast_parse(argv)
+    namespace = _fast_parse(list(argv))
     if namespace is not None:
-        assert namespace == _build_parser().parse_args(argv), argv
+        assert namespace == _build_parser().parse_args(_attach_signed_values(list(argv))), argv
     return namespace is not None
 
 
@@ -514,24 +489,62 @@ def test_fast_parse_matches_argparse_on_mutated_argv():
     check()
 
 
+def counted(monkeypatch, owner, name):
+    """Wrap `owner.name` to count its calls; returns the one-item counter."""
+    calls = [0]
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def calls_made(counter, call, *args):
+    """How many calls to the counted function `call(*args)` makes."""
+    before = counter[0]
+    call(*args)
+    return counter[0] - before
+
+
+def root_parse(argv):
+    """main's fallback, called directly, with its refusal or help caught."""
+    with contextlib.suppress(CLIError, SystemExit):
+        _build_parser().parse_args(_attach_signed_values(list(argv)))
+
+
 def test_one_parse_per_call(monkeypatch, capsys):
-    """A plain golden argv is parsed without argparse.  An argv that is not
-    plain and starts with a command name is parsed by one parse_known_args
-    call (the root parse takes 2, and 3 for a schubert leaf)."""
-    calls = 0
-    parse_known_args = cli._ArgumentParser.parse_known_args
+    """A plain golden argv is parsed without argparse.  Any other argv takes
+    as many parse_known_args calls as the root parse takes on its own, so
+    main adds no parse of its own."""
+    parses = counted(monkeypatch, cli._ArgumentParser, "parse_known_args")
+    for argv in ALL_COMMANDS:
+        assert calls_made(parses, main, list(argv)) == 0, argv
+    for argv in NOT_PLAIN + REJECTED + HELP + PARSE_EDGES:
+        assert calls_made(parses, main, list(argv)) == calls_made(parses, root_parse, argv) > 0, argv
+    capsys.readouterr()
 
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return parse_known_args(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._ArgumentParser, "parse_known_args", counting)
-    for argv in ALL_COMMANDS + NOT_PLAIN:
-        if argv[0] in _build_parser().commands:
-            calls = 0
-            main(list(argv))
-            assert calls == (argv in NOT_PLAIN), argv
+def test_tuple_argv_takes_the_fast_path(monkeypatch, capsys):
+    """main(tuple(argv)) prints what main(list(argv)) prints, and a plain
+    tuple is read from the grammar table, not by argparse."""
+    parses = counted(monkeypatch, cli._ArgumentParser, "parse_known_args")
+    for argv in ALL_COMMANDS:
+        want = run_cli(capsys, *argv)
+        assert (main(tuple(argv)), *capsys.readouterr()) == want, argv
+    assert parses == [0]
+
+
+def test_only_the_fallback_joins_signed_values(monkeypatch, capsys):
+    """A plain argv reaches _fast_parse unjoined; an argv that falls back
+    to argparse has its signed values joined once."""
+    joins = counted(monkeypatch, cli, "_attach_signed_values")
+    for argv in ALL_COMMANDS:
+        assert calls_made(joins, main, list(argv)) == 0, argv
+    for argv in NOT_PLAIN:
+        assert calls_made(joins, main, list(argv)) == 1, argv
     capsys.readouterr()
 
 
