@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -406,6 +407,34 @@ PARSE_EDGES = (
 )
 
 
+def parse_outcome(parse, argv):
+    """What parsing argv gives: the namespace, a CLIError's text, or a
+    SystemExit's code and the stdout printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            namespace = parse(list(argv))
+    except CLIError as err:
+        return "error", str(err)
+    except SystemExit as stop:
+        return "exit", stop.code, out.getvalue()
+    return "namespace", vars(namespace)
+
+
+def the_root_parse(argv):
+    return _build_parser().parse_args(_attach_signed_values(argv))
+
+
+def two_route_parse(argv):
+    """main's parse: the grammar table for a plain argv, else the root parse."""
+    return _fast_parse(argv) or the_root_parse(argv)
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS + REJECTED + HELP + PARSE_EDGES, ids=" ".join)
+def test_one_pass_parse_matches_the_root_parse(argv):
+    assert parse_outcome(two_route_parse, argv) == parse_outcome(the_root_parse, argv)
+
+
 # argv that are not plain, so that the fast parser leaves them to argparse:
 # help, '--', a joined or abbreviated flag, a repeated flag or switch, values
 # that start with '-' (a signed value is joined to its flag), a bad integer,
@@ -512,7 +541,7 @@ def calls_made(counter, call, *args):
 def root_parse(argv):
     """main's fallback, called directly, with its refusal or help caught."""
     with contextlib.suppress(CLIError, SystemExit):
-        _build_parser().parse_args(_attach_signed_values(list(argv)))
+        the_root_parse(list(argv))
 
 
 def test_one_parse_per_call(monkeypatch, capsys):
