@@ -160,10 +160,14 @@ def _parse_degrees(raw: str):
         raise CLIError(f"bad degree list {raw!r}: expected d1,d2,...") from err
 
 
-# The most degrees one `sweep` evaluates.  A row costs about 0.03 ms for
-# P(4) and 0.04 ms for Gr(2,4)xP(2), text or JSON render included (Python
-# 3.11.7, Intel Xeon, 2 CPUs), so the widest sweep takes under half a second.
+# The most degrees one `sweep` evaluates, and the most degrees x m^2 for a
+# spec of m factors: each row builds 2m+1 case vectors of length m.  In
+# process on products of m copies of P(1), text render (Python 3.11.7,
+# Intel Xeon, 2 CPUs), 10^4 rows take 0.19 s at m = 1 and 1.5 s at m = 10,
+# the widest sweep the two limits admit; at the work limit, 2,500 rows take
+# 0.67 s at m = 20, 100 rows 0.29 s at m = 100, and one row 0.1 s at m = 1000.
 _MAX_SWEEP_ROWS = 10_000
+_MAX_SWEEP_WORK = 1_000_000
 
 
 def _parse_range(raw: str):
@@ -425,6 +429,11 @@ def _cmd_section_dom(args):
 def _cmd_sweep(args):
     v = parse_variety(args.variety)
     lo, hi = _parse_range(args.range)
+    if (hi - lo + 1) * v.m**2 > _MAX_SWEEP_WORK:
+        raise CLIError(
+            f"bad range {args.range!r}: {hi - lo + 1} degrees on {v.m} factors"
+            f" is more than {_MAX_SWEEP_WORK} degrees x factors^2"
+        )
     rows = [(t, *_verdict(v, (t,) * v.m)) for t in range(lo, hi + 1)]
     if args.json:
         return _json_text(

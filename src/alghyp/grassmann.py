@@ -4,16 +4,16 @@ Classes are indexed by partitions inside the k x (n-k) box.  `_checked`
 is the one partition validator and yields a trimmed `Partition`, an int
 tuple; `ChowElement` keys its one term dict by them, and `terms` is a
 read-only view of that dict.  Each content term of a product takes one
-of three routes: a single column 1^p (sigma_1 included) is one vertical
-strip, a single row p one horizontal strip (Pieri's rule), and any other
-term one Littlewood-Richardson stage per row, kept while the reverse
-reading word is a lattice word, with partial fillings of equal shape and
-last-letter row counts merged.  There are no signs and no cache, and
-every product term passes the partition, coefficient and box checks of
-`ChowElement`.  An independent Schur-polynomial oracle lives in the
-tests.  All coefficients are Python ints; inputs that are not integers
-are rejected, not truncated.  All values are immutable, and every
-operation is a pure function.
+of two routes: a single column 1^p (sigma_1 included) is one vertical
+strip, and any other term one Littlewood-Richardson stage per row, kept
+while the reverse reading word is a lattice word, with partial fillings
+merged by their shape and the shape before the last letter.  A single
+row is one stage, which is Pieri's rule.  There are no signs and no
+cache, and every product term passes the partition, coefficient and box
+checks of `ChowElement`.  An independent Schur-polynomial oracle lives
+in the tests.  All coefficients are Python ints; inputs that are not
+integers are rejected, not truncated.  All values are immutable, and
+every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -262,83 +262,51 @@ def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
     return out
 
 
-def _horizontal_strips(terms, p: int, k: int, width: int) -> dict:
-    """Pieri's row rule, the mirror of `_vertical_strips`: every horizontal
-    strip of p >= 1 boxes (at most one per column) added to each term.
-
-    This is the first stage of `_lr_stage` without letter counts: row r
-    takes at most the row above minus itself, and at least what rows r+1..
-    cannot take (row r minus the bottom row).
-    """
-    out = {}
-    get = out.get
-    for lam, c in terms:
-        rows = k if len(lam) >= k else len(lam) + 1
-        base = lam + (0,) * (rows - len(lam))
-        low = base[-1]
-        if width - low < p:
-            continue
-        partial = [((), p)]
-        above = width
-        for r in range(rows):
-            b, tail = base[r], lam[r + 1:]
-            top, after = above - b, b - low
-            above = b
-            nxt = []
-            for shape, left in partial:
-                hi = top if top < left else left
-                for a in range(left - after if left > after else 0, hi + 1):
-                    if a < left:
-                        nxt.append((shape + (b + a,), left - a))
-                    else:
-                        mu = shape + (b + a,) + tail
-                        out[mu] = get(mu, 0) + c
-            partial = nxt
-            if not partial:
-                break
-    return out
-
-
-def _lr_stage(states: dict, m: int, k: int, width: int) -> dict:
+def _lr_stage(states: dict, m: int, k: int, width: int, final: bool) -> dict:
     """Add m boxes of the next letter to every state as a horizontal strip.
 
-    A state (shape, last) holds the summed coefficient of every partial
-    filling with that shape in which the last letter placed fills
-    last[r] boxes of row r (`last` is None before the first letter).  The
-    reverse reading word must stay a lattice word: the new letter's boxes
-    in rows <= r number at most the last letter's boxes in rows < r.  The
-    shape stays inside the k x width box: row r takes at most the row
-    above minus itself, and rows r+1.. at most row r minus the bottom row.
-    Fillings that reach the same shape with the same row counts of the new
-    letter are merged, and every final shape still passes through the
-    validating constructors.
+    A state (shape, before) holds the summed coefficient of every partial
+    filling with that shape, where `before` is the shape before the last
+    letter placed (None before the first letter).  The reverse reading
+    word must stay a lattice word: the new letter's boxes in rows <= r
+    number at most the last letter's boxes in rows < r.  So, with cum the
+    last letter's boxes in rows < r, read off the two shapes, at least
+    m - cum of the boxes still to place go below row r; the first letter
+    has no cut.  The shape stays inside the k x width box: row r takes at
+    most the row above minus itself, and rows r+1.. at most row r minus
+    the bottom row.  A new state is keyed (new shape, shape), or by the
+    new shape alone in the `final` stage of a term, so fillings that reach
+    the same state are merged.  A single row is one final stage with no
+    cut, which is Pieri's row rule.  Every final shape still passes
+    through the validating constructors.
     """
     out = {}
     get = out.get
-    for (nu, last), c in states.items():
+    for (nu, before), c in states.items():
         rows = k if len(nu) >= k else len(nu) + 1
         base = nu + (0,) * (rows - len(nu))
         low = base[-1]
         if width - low < m:
             continue
-        prev = (0,) * rows if last is None else last + (0,) * (rows - len(last))
-        # (grown shape and new-letter counts of rows < r, boxes left, lattice slack)
-        partial = [((), (), m, m if last is None else 0)]
+        prev = base if before is None else before + (0,) * (rows - len(before))
+        cum = m if before is None else 0
+        partial = [((), m)]  # (grown shape of rows < r, boxes left)
         above = width
         for r in range(rows):
-            b, gain, tail = base[r], prev[r], nu[r + 1:]
-            top, after = above - b, b - low
-            above = b
+            b, tail = base[r], nu[r + 1:]
+            top, after, cut = above - b, b - low, m - cum if cum < m else 0
+            above, cum = b, cum + b - prev[r]
             nxt = []
-            for shape, counts, left, slack in partial:
-                hi = top if top < left else left
-                if slack < hi:
-                    hi = slack
+            for shape, left in partial:
+                hi = left - cut
+                if top < hi:
+                    hi = top
                 for a in range(left - after if left > after else 0, hi + 1):
                     if a < left:
-                        nxt.append((shape + (b + a,), counts + (a,), left - a, slack - a + gain))
+                        nxt.append((shape + (b + a,), left - a))
                     else:
-                        key = (shape + (b + a,) + tail, counts + (a,))
+                        mu = shape + (b + a,) + tail
+                        key = mu if final else (mu, nu)
                         out[key] = get(key, 0) + c
             partial = nxt
             if not partial:
@@ -351,12 +319,13 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
 
     The content is the factor whose longest term has fewer rows.  Each of
     its terms mu, scaled by its coefficient, is applied to every term of
-    the other factor at once: a single column 1^p is one vertical strip,
-    a single row (p) one horizontal strip, and any other mu one
-    `_lr_stage` per row, where row mu_i is a horizontal strip of the
-    letter i kept only while the reverse reading word is a lattice word.
-    The kernels work on int tuples and drop shapes that leave the box; the
-    sum can cancel, and `ChowElement` checks every term and drops zeros.
+    the other factor at once, by one of two routes: a single column 1^p
+    is one vertical strip, and any other mu one `_lr_stage` per row, where
+    row mu_i is a horizontal strip of the letter i kept only while the
+    reverse reading word is a lattice word (a single row is Pieri's rule).
+    The unit class s[] leaves the other factor as it is.  The kernels work
+    on int tuples and drop shapes that leave the box; the sum can cancel,
+    and `ChowElement` checks every term and drops zeros.
     """
     x._check_context(y)
     ctx = x.context
@@ -368,15 +337,15 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     get = out.get
     for mu, cy in y._terms.items():
         scaled = [(lam, cy * c) for lam, c in base]
-        if mu[:1] == (1,):
+        if not mu:
+            grown = scaled
+        elif mu[0] == 1:
             grown = _vertical_strips(scaled, len(mu), k, width).items()
-        elif len(mu) == 1:
-            grown = _horizontal_strips(scaled, mu[0], k, width).items()
         else:
             states = {(lam, None): c for lam, c in scaled}
-            for m in mu:
-                states = _lr_stage(states, m, k, width)
-            grown = ((nu, c) for (nu, _), c in states.items())
+            for m in mu[:-1]:
+                states = _lr_stage(states, m, k, width, False)
+            grown = _lr_stage(states, mu[-1], k, width, True).items()
         for nu, c in grown:
             out[nu] = get(nu, 0) + c
     return ChowElement(ctx, out)

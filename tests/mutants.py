@@ -1,0 +1,172 @@
+"""The mutation table: small edits of `src/alghyp` that the suite must fail.
+
+Each row names a module of `src/alghyp`, a source text that occurs in it
+exactly once, its replacement, and why the suite must fail on the mutant,
+or why the mutant is equivalent (behaves like the code in every case).
+Run it from the repository root:
+
+    python -m tests.mutants
+
+It first runs `pytest -x -q tests` on an unedited copy of `src/`, which
+must pass and must be the copy that the tests import.  Then, for each row,
+it copies `src/` to a temporary directory, applies the replacement, and
+runs the same command with that copy alone on `PYTHONPATH`.  It prints
+each row's outcome, with the first test that failed, and exits 1 if a row
+not marked equivalent survives, or if an equivalent row is killed (its
+reason is then wrong); it exits 2 if the unedited copy fails.  A tier-1 test
+checks only that each source text occurs exactly once, so the table fails
+fast when the code moves.  Add a row here for each mutation check a change
+runs.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "alghyp"
+PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests")
+
+
+class Mutant(NamedTuple):
+    module: str
+    source: str
+    replacement: str
+    why: str
+    equivalent: bool = False
+
+
+MUTANTS = (
+    Mutant(
+        "grassmann",
+        "m - cum if cum < m else 0",
+        "0",
+        "with no lattice cut a later letter may outrun the one before, so"
+        " products gain coefficients that the Schur oracle does not have",
+    ),
+    Mutant(
+        "grassmann",
+        "hi = left - cut",
+        "hi = left",
+        "dropping the cut from the row's upper bound admits the same"
+        " fillings that break the lattice word; products differ from the oracle",
+    ),
+    Mutant(
+        "grassmann",
+        "range(left - after if left > after else 0, hi + 1)",
+        "range(0, hi + 1)",
+        "without the floor a row may leave more boxes than the rows below"
+        " can take; every product stays the same, but the pinned partial"
+        " fillings and dead ends of `_lr_stage` grow",
+    ),
+    Mutant(
+        "grassmann",
+        "key = mu if final else (mu, nu)",
+        "key = mu",
+        "a stage that is not the last must key its states by (shape,"
+        " shape before); a bare shape cannot be read as a state by the next stage",
+    ),
+    Mutant(
+        "grassmann",
+        "if left < rows - i:",
+        "if left <= rows - i:",
+        "skipping a row with more boxes left than the rows below can take"
+        " only keeps dead ends; the pinned fillings of `_vertical_strips` grow",
+    ),
+    Mutant(
+        "chern",
+        "c[a] - c[a + 1]",
+        "c[a] - c[a - 1]",
+        "the bialternant read-off must difference adjacent coefficients"
+        " upwards; the paired route and the line counts disagree with it",
+    ),
+    Mutant(
+        "varieties",
+        "variety.D - ai - 4 for ai in variety.a",
+        "variety.D - ai - 3 for ai in variety.a",
+        "the lines threshold D - a - 4 is pinned by the goldens and the"
+        " family regression of the acceptance suite",
+    ),
+    Mutant(
+        "cli",
+        "(hi - lo + 1) * v.m**2 > _MAX_SWEEP_WORK",
+        "(hi - lo + 1) * v.m**2 >= _MAX_SWEEP_WORK",
+        "a sweep exactly at the degrees x factors^2 limit must be evaluated,"
+        " not refused",
+    ),
+    Mutant(
+        "sections",
+        "if 3 * bits >= 10 * limit:",
+        "if 3 * bits > 10 * limit:",
+        "equivalent: 10 * limit is a multiple of 3 only when the limit is,"
+        " and the default 4300 is not; at any limit both forms are sound,"
+        " because 10/3 > log2(10)",
+        equivalent=True,
+    ),
+)
+
+
+def _python(src: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+
+
+def _copy(tmp: str) -> pathlib.Path:
+    src = pathlib.Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _killer(mutant: Mutant) -> str | None:
+    """The first test that fails on `mutant`, or None if it survives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy(tmp)
+        path = src / "alghyp" / f"{mutant.module}.py"
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.source) != 1:
+            raise SystemExit(f"{mutant.module}: {mutant.source!r} does not occur exactly once")
+        path.write_text(text.replace(mutant.source, mutant.replacement), encoding="utf-8")
+        run = _python(src, *PYTEST)
+        if run.returncode == 0:
+            return None
+        failed = [line for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+        return failed[0].split(" - ")[0] if failed else f"pytest exit {run.returncode}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy(tmp)
+        where = _python(src, "-c", "import alghyp; print(alghyp.__file__)").stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"the tests import alghyp from {where!r}, not from the copy", file=sys.stderr)
+            return 2
+        if _python(src, *PYTEST).returncode:
+            print("the suite fails on the unedited copy", file=sys.stderr)
+            return 2
+    wrong = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        killer = _killer(mutant)
+        verdict = "survived" if killer is None else "killed"
+        if (killer is None) != mutant.equivalent:
+            wrong += 1
+            verdict += " (UNEXPECTED)"
+        took = time.perf_counter() - start
+        print(f"{verdict} in {took:.1f} s: {mutant.module}: {mutant.source!r} -> {mutant.replacement!r}")
+        if killer is not None:
+            print(f"    by {killer}")
+    print(f"{len(MUTANTS)} mutants, {wrong} unexpected")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

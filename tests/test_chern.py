@@ -121,11 +121,10 @@ class TestPairedRearrangement:
 
     def test_work_counts(self, monkeypatch):
         # s1 * s1 is one product before the loop; each factor
-        # i(d-i) s1^2 + (d-2i)^2 s11 is one product with one horizontal
-        # strip (its s[2] term) and one vertical strip (its s[1,1] term);
-        # the closing (d/2) s1 is one more vertical strip, and no term
-        # needs an LR stage.  `chern.multiply` is the binding the paired
-        # route calls.
+        # i(d-i) s1^2 + (d-2i)^2 s11 is one product with one LR stage (its
+        # s[2] term, Pieri's row rule) and one vertical strip (its s[1,1]
+        # term); the closing (d/2) s1 is one more vertical strip.
+        # `chern.multiply` is the binding the paired route calls.
         calls = {}
 
         def count(module, name):
@@ -138,16 +137,14 @@ class TestPairedRearrangement:
             monkeypatch.setattr(module, name, wrapper)
 
         count(chern, "multiply")
-        count(grassmann, "_horizontal_strips")
         count(grassmann, "_lr_stage")
         count(grassmann, "_vertical_strips")
         for d in range(2, 61, 2):
-            calls.update(multiply=0, _horizontal_strips=0, _lr_stage=0, _vertical_strips=0)
+            calls.update(multiply=0, _lr_stage=0, _vertical_strips=0)
             paired_rearrangement(d)
             assert calls == {
                 "multiply": d // 2 + 1,
-                "_horizontal_strips": d // 2 - 1,
-                "_lr_stage": 0,
+                "_lr_stage": d // 2 - 1,
                 "_vertical_strips": d // 2 + 1,
             }, d
 

@@ -11,6 +11,7 @@ import pytest
 from alghyp import cli, schemas
 from alghyp.cli import (
     _MAX_SWEEP_ROWS,
+    _MAX_SWEEP_WORK,
     CLIError,
     _attach_signed_values,
     _build_parser,
@@ -132,6 +133,27 @@ class TestCommands:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.count("\n") == 1 and f"more than {_MAX_SWEEP_ROWS} degrees" in err
+
+    def test_sweep_work_is_bounded(self, capsys, monkeypatch):
+        """On a spec of m = 100 factors, a range one degree wider than the
+        degrees x m^2 limit admits is refused before any verdict is
+        computed; a range at the limit reaches its first verdict."""
+        m = 100
+        rows = _MAX_SWEEP_WORK // m**2
+        spec = "x".join(["P(1)"] * m)
+        verdicts = []
+
+        def first_verdict(*args):
+            verdicts.append(args)
+            raise RuntimeError("stop after the first verdict")
+
+        monkeypatch.setattr("alghyp.cli._verdict", first_verdict)
+        assert run_cli(capsys, "sweep", spec, "--range", f"3..{rows + 3}") == (
+            1, "", f"error: bad range '3..{rows + 3}': {rows + 1} degrees on {m} factors"
+            f" is more than {_MAX_SWEEP_WORK} degrees x factors^2\n")
+        assert verdicts == []
+        assert run_cli(capsys, "sweep", spec, "--range", f"3..{rows + 2}")[0] == 2
+        assert len(verdicts) == 1
 
     def test_negative_value_reaches_its_check(self, capsys):
         """A --range or --deg value that starts with '-' is read as the

@@ -8,22 +8,16 @@ refusal (exit 1) per command that checks a library precondition, and one
 `*_SCHEMA` in `alghyp.schemas`, key order included.
 Regenerating either file changes pinned behaviour; to do it on purpose, run
 `PYTHONPATH=src python -m tests.test_cli_golden` from the repository root.
+`PYTHONPATH=src python -m tests.replay` replays both without pytest.
 """
 
 import argparse
-import contextlib
-import io
 import json
-import pathlib
 
 import pytest
 
-from alghyp import schemas
-from alghyp.cli import main
+from tests.replay import GOLDEN, SCHEMAS_GOLDEN, published_schemas, transcript
 from tests.test_acceptance import ACCEPTANCE_COMMANDS
-
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
-SCHEMAS_GOLDEN = GOLDEN.with_name("schemas.json")
 
 EXTRA_COMMANDS = (
     ("classify", "Gr(2,4)", "--deg", "9"),
@@ -59,13 +53,6 @@ REFUSALS = (
 
 
 ALL_COMMANDS = ACCEPTANCE_COMMANDS + EXTRA_COMMANDS + REFUSALS
-
-
-def transcript(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.fixture(scope="module")
@@ -132,10 +119,6 @@ def test_parser_is_built_once_per_process(monkeypatch):
     for argv in ALL_COMMANDS + REJECTED + HELP:
         transcript(argv)
     assert built == 0
-
-
-def published_schemas():
-    return {name: json.dumps(value) for name, value in vars(schemas).items() if name.endswith("_SCHEMA")}
 
 
 def test_published_schemas_are_byte_identical():

@@ -1,14 +1,17 @@
 """The partial fillings of the ring kernels, counted and pinned exactly.
 
-`_vertical_strips`, `_horizontal_strips` and `_lr_stage` grow each strip
-row by row from a list `partial` of partial fillings.  A looser pruning
-bound only adds fillings that lead nowhere: every product stays the same,
-and only the time grows.  So these tests count the fillings, with a
-`sys.settrace` line counter that lives only here: one execution of the
-first body line of a kernel's `for ... in partial:` loop is one filling.
-A filling is a dead end when its body neither keeps a longer filling
-(`nxt.append`) nor emits a shape (`out[...]`).  The lines are found by
-their source text, so the counts do not depend on line numbers.
+`_vertical_strips` and `_lr_stage` grow each strip row by row from a
+list `partial` of partial fillings, each a (grown shape, boxes left)
+pair.  A state of `_lr_stage` is a shape with the shape before its last
+letter, so a row's lattice cut is read off the state, not the filling.
+A looser pruning bound only adds fillings that lead nowhere: every
+product stays the same, and only the time grows.  So these tests count
+the fillings, with a `sys.settrace` line counter that lives only here:
+one execution of the first body line of a kernel's `for ... in partial:`
+loop is one filling.  A filling is a dead end when its body neither
+keeps a longer filling (`nxt.append`) nor emits a shape (`out[...]`).
+The lines are found by their source text, so the counts do not depend
+on line numbers.
 """
 
 import inspect
@@ -18,7 +21,7 @@ import sys
 import alghyp.grassmann as grassmann
 from alghyp.grassmann import ChowElement, RingContext, make_class, multiply
 
-KERNELS = ("_vertical_strips", "_horizontal_strips", "_lr_stage")
+KERNELS = ("_vertical_strips", "_lr_stage")
 
 
 def _is_code(text):
@@ -121,17 +124,23 @@ def test_partial_fillings_are_pinned():
     with FillingCounter() as counter:
         for x, y in grid():
             multiply(x, y)
-    assert counter.fillings == {
-        "_vertical_strips": 3684,
-        "_horizontal_strips": 4614,
-        "_lr_stage": 6566,
-    }
-    # a tighter bound may lower these; Pieri's row rule has no dead end
-    assert counter.dead_ends == {
-        "_vertical_strips": 298,
-        "_horizontal_strips": 0,
-        "_lr_stage": 69,
-    }
+    # each `_lr_stage` pin is the sum of two: the single rows, which had a
+    # kernel of their own (4614 fillings, 0 dead ends), and the other terms
+    # (6566 and 69); one kernel for both does the same work
+    assert counter.fillings == {"_vertical_strips": 3684, "_lr_stage": 11180}
+    # a tighter bound may lower these
+    assert counter.dead_ends == {"_vertical_strips": 298, "_lr_stage": 69}
+
+
+def test_pieri_row_rule_has_no_dead_end():
+    # a single row is one stage with no cut, and row r's bounds admit only
+    # fillings that the rows below can complete
+    with FillingCounter() as counter:
+        for x, y in grid():
+            if len(y._terms) == 1 and len(next(iter(y._terms))) == 1:
+                multiply(x, y)
+    assert counter.fillings["_lr_stage"] > 0
+    assert counter.dead_ends["_lr_stage"] == 0
 
 
 def test_counter_counts_one_filling_per_loop_pass():
@@ -141,5 +150,5 @@ def test_counter_counts_one_filling_per_loop_pass():
     with FillingCounter() as counter:
         product = multiply(make_class(ctx, (2, 1)), make_class(ctx, (1,)))
     assert set(product._terms) == {(3, 1), (2, 2), (2, 1, 1)}
-    assert counter.fillings == {"_vertical_strips": 3, "_horizontal_strips": 0, "_lr_stage": 0}
+    assert counter.fillings == {"_vertical_strips": 3, "_lr_stage": 0}
     assert counter.dead_ends == dict.fromkeys(KERNELS, 0)
