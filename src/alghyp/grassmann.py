@@ -7,12 +7,13 @@ read-only view of that dict.  Each content term of a product takes one
 of two routes: a single column 1^p (sigma_1 included) is one vertical
 strip, and any other term one Littlewood-Richardson stage per row, kept
 while the reverse reading word is a lattice word, with partial fillings
-merged by their shape and the shape before the last letter.  A single
-row is one stage, which is Pieri's rule.  There are no signs and no
-cache, and every product term passes the partition, coefficient and box
-checks of `ChowElement`.  An independent Schur-polynomial oracle lives
-in the tests.  All coefficients are Python ints; inputs that are not
-integers are rejected, not truncated.  All values are immutable, and
+merged by their shape and the shape before the last letter; a term of
+two or more rows first drops the terms whose product with it is zero.
+A single row is one stage, which is Pieri's rule.  There are no signs
+and no cache, and every product term passes the partition, coefficient
+and box checks of `ChowElement`.  An independent Schur-polynomial oracle
+lives in the tests.  All coefficients are Python ints; inputs that are
+not integers are rejected, not truncated.  All values are immutable, and
 every operation is a pure function.
 """
 
@@ -323,9 +324,13 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     is one vertical strip, and any other mu one `_lr_stage` per row, where
     row mu_i is a horizontal strip of the letter i kept only while the
     reverse reading word is a lattice word (a single row is Pieri's rule).
-    The unit class s[] leaves the other factor as it is.  The kernels work
-    on int tuples and drop shapes that leave the box; the sum can cancel,
-    and `ChowElement` checks every term and drops zeros.
+    Before its stages, a mu of two or more rows drops each term lam with
+    some lam_i + mu_(k+1-i) > n-k, whose product with it is zero (the
+    duality theorem; Fulton, Young Tableaux, ch. 9); a single row meets
+    the same test in the stage's first check.  The unit class s[] leaves
+    the other factor as it is.  The kernels work on int tuples and drop
+    shapes that leave the box; the sum can cancel, and `ChowElement`
+    checks every term and drops zeros.
     """
     x._check_context(y)
     ctx = x.context
@@ -336,13 +341,20 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     out = {}
     get = out.get
     for mu, cy in y._terms.items():
-        scaled = [(lam, cy * c) for lam, c in base]
         if not mu:
-            grown = scaled
+            grown = [(lam, cy * c) for lam, c in base]
         elif mu[0] == 1:
-            grown = _vertical_strips(scaled, len(mu), k, width).items()
+            grown = _vertical_strips([(lam, cy * c) for lam, c in base], len(mu), k, width).items()
         else:
-            states = {(lam, None): c for lam, c in scaled}
+            # s[lam] s[mu] = 0 unless lam_i + mu_(k+1-i) <= n-k for every i;
+            # a single row skips the test, which its first stage makes anyway
+            start = k - len(mu) if len(mu) > 1 else k
+            flipped, states = mu[::-1], {}
+            for lam, c in base:
+                if len(lam) <= start or max(map(operator.add, lam[start:], flipped)) <= width:
+                    states[lam, None] = cy * c
+            if not states:
+                continue
             for m in mu[:-1]:
                 states = _lr_stage(states, m, k, width, False)
             grown = _lr_stage(states, mu[-1], k, width, True).items()

@@ -88,6 +88,73 @@ MUTANTS = (
         " upwards; the paired route and the line counts disagree with it",
     ),
     Mutant(
+        "chern",
+        "i * i + (d - i) * (d - i)",
+        "2 * i * (d - i)",
+        "B = 2A turns each pair into A (alpha + beta)^2; the coefficients"
+        " then sum to less than d^(d+1), and the guard raises",
+    ),
+    Mutant(
+        "chern",
+        "half[deg - len(half)]",
+        "half[deg - len(half) - 1]",
+        "reading the entry past the half one place off its mirror breaks"
+        " every product of three or more pairs; the guard and the"
+        " linear-factor oracle disagree with it",
+    ),
+    Mutant(
+        "chern",
+        "half[: d - len(half)][::-1]",
+        "half[: d - len(half) - 1][::-1]",
+        "mirroring one entry short leaves the list without its top"
+        " coefficient, so the read-off shifts and the sum falls short",
+    ),
+    Mutant(
+        "chern",
+        "[d * d * (d // 2)]",
+        "[d * d]",
+        "dropping the even-d middle factor (d/2)(alpha + beta) scales every"
+        " coefficient of an even d by 2/d, and the mirror then reads a"
+        " degree that is one too high",
+    ),
+    Mutant(
+        "chern",
+        "d ** (d + 1)",
+        "d ** d",
+        "the coefficients of the root product sum to d^(d+1), its value at"
+        " alpha = beta = 1; any other exponent makes the guard raise on"
+        " correct lists",
+    ),
+    Mutant(
+        "chern",
+        "get((d + 1,), 0) == 0",
+        "get((d + 1,), 1) == 0",
+        "the single-row class s[d+1] is never stored, so its default must"
+        " read 0; a default of 1 fails every certificate",
+    ),
+    Mutant(
+        "grassmann",
+        "len(lam) <= start or max(",
+        "True or max(",
+        "without the zero test a zero pair runs its LR stages: the G(8,18)"
+        " pair makes stage calls, and the pinned partial fillings grow",
+    ),
+    Mutant(
+        "grassmann",
+        "max(map(operator.add, lam[start:], flipped)) <= width",
+        "max(map(operator.add, lam[start:], flipped)) < width",
+        "a row that exactly fills the room left by mu is a nonzero pair;"
+        " dropping it loses terms that the Schur oracle keeps",
+    ),
+    Mutant(
+        "grassmann",
+        "start = k - len(mu) if",
+        "start = k - len(mu) + 1 if",
+        "row i of the other factor pairs with row k+1-i of mu; pairing row"
+        " i+1 instead is a weaker test, so no product changes, but the"
+        " G(8,18) zero pair runs its stages",
+    ),
+    Mutant(
         "varieties",
         "variety.D - ai - 4 for ai in variety.a",
         "variety.D - ai - 3 for ai in variety.a",

@@ -7,6 +7,7 @@ import alghyp.grassmann as grassmann
 from alghyp.chern import fano_class, line_count, paired_rearrangement, top_chern_sym
 from alghyp.grassmann import Partition, RingContext, make_class, multiply
 from alghyp.sections import check_projective_space
+from tests import chern_oracle
 
 # golden values computed with the standalone monomial-expansion oracle
 # (expand the root product, divide the alternant) before the main build
@@ -46,6 +47,14 @@ class TestTopChern:
         for d in range(2, 41):
             for N in sorted({(d + 2) // 2 + 2, d + 2, d + 3, d + 4, d + 5, d + 6}):
                 assert top_chern_sym(d, N) == paired_product(d, N), (d, N)
+
+    def test_matches_the_linear_factor_oracle(self):
+        # the paired half-list product against the full list built one
+        # linear factor at a time, in the box d+3 that keeps every class
+        # and in a narrower one that drops the widest
+        for d in range(1, 201):
+            for N in (d + 3, max(4, (d + 1) // 2 + 3)):
+                assert dict(top_chern_sym(d, N).terms) == chern_oracle.read_off(d, N), (d, N)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -97,6 +106,21 @@ class TestFanoClass:
             assert report.expansion.coefficient(Partition([d + 1])) == 0
             for j in range(1, (d + 1) // 2 + 1):
                 assert report.expansion.coefficient(Partition([d + 1 - j, j])) > 0, (d, j)
+
+    def test_certificate_checks_no_key_twice(self, monkeypatch):
+        # the expansion checks its 31 keys s[a, 61-a], a = 31..61, once
+        # each (s[61] then drops out with coefficient 0); the certificate
+        # reads s[61] and the 30 two-row classes back as plain tuples
+        checks = []
+        inner = grassmann._checked
+
+        def counted(parts):
+            checks.append(parts)
+            return inner(parts)
+
+        monkeypatch.setattr(grassmann, "_checked", counted)
+        assert fano_class(60, 100).missing_class_ok
+        assert len(checks) == 31
 
     def test_box_too_small(self):
         with pytest.raises(ValueError):
@@ -198,6 +222,10 @@ class TestLineCount:
     def test_golden(self):
         for n, want in LINE_COUNT_GOLDEN.items():
             assert line_count(n) == want
+
+    def test_matches_the_linear_factor_oracle(self):
+        for n in range(3, 101):
+            assert line_count(n) == chern_oracle.line_count(n), n
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

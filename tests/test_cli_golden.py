@@ -6,9 +6,12 @@ refusal (exit 1) per command that checks a library precondition, and one
 `info` refusal per catalog gate (argument range, D >= 1, a <= -2).
 `tests/golden/schemas.json` pins the `json.dumps` text of every published
 `*_SCHEMA` in `alghyp.schemas`, key order included.
-Regenerating either file changes pinned behaviour; to do it on purpose, run
+`tests/golden/work.json` pins, for each golden argv, its Python calls to
+functions of the package (`tests.replay.work_counts`); a change that moves
+work regenerates it and lists the counts that changed.
+Regenerating any of them changes pinned behaviour; to do it on purpose, run
 `PYTHONPATH=src python -m tests.test_cli_golden` from the repository root.
-`PYTHONPATH=src python -m tests.replay` replays both without pytest.
+`PYTHONPATH=src python -m tests.replay` replays all three without pytest.
 """
 
 import argparse
@@ -16,7 +19,14 @@ import json
 
 import pytest
 
-from tests.replay import GOLDEN, SCHEMAS_GOLDEN, published_schemas, transcript
+from tests.replay import (
+    GOLDEN,
+    SCHEMAS_GOLDEN,
+    WORK_GOLDEN,
+    published_schemas,
+    transcript,
+    work_counts,
+)
 from tests.test_acceptance import ACCEPTANCE_COMMANDS
 
 EXTRA_COMMANDS = (
@@ -62,6 +72,13 @@ def golden():
     return dict(zip(ALL_COMMANDS, entries))
 
 
+@pytest.fixture(scope="module")
+def work():
+    entries = json.loads(WORK_GOLDEN.read_text(encoding="utf-8"))
+    assert [tuple(e["argv"]) for e in entries] == list(ALL_COMMANDS)
+    return {tuple(e["argv"]): e["calls"] for e in entries}
+
+
 def test_refusals_exit_1(golden):
     assert [golden[argv]["exit"] for argv in REFUSALS] == [1] * len(REFUSALS)
 
@@ -72,6 +89,11 @@ def test_transcript_is_byte_identical(golden, argv):
     assert got["exit"] == want["exit"]
     assert got["stdout"].encode() == want["stdout"].encode()
     assert got["stderr"].encode() == want["stderr"].encode()
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=" ".join)
+def test_python_calls_are_pinned(work, argv):
+    assert work_counts(argv) == work[argv]
 
 
 # argv that argparse itself refuses: a missing required flag, a missing
@@ -129,3 +151,5 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([transcript(a) for a in ALL_COMMANDS], indent=1) + "\n", encoding="utf-8")
     SCHEMAS_GOLDEN.write_text(json.dumps(published_schemas(), indent=1) + "\n", encoding="utf-8")
+    work = [{"argv": list(a), "calls": work_counts(a)} for a in ALL_COMMANDS]
+    WORK_GOLDEN.write_text(json.dumps(work, indent=1) + "\n", encoding="utf-8")

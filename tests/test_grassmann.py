@@ -418,6 +418,47 @@ class TestProductWork:
         assert all(c > 0 for c in prod.terms.values())
 
 
+    def test_zero_pair_runs_no_stage(self, monkeypatch):
+        # in G(8,18), row 2 of one factor and row 7 of the other sum to
+        # 7 + 4 > 10 = n - k, so the product is zero before any stage runs
+        ctx = RingContext(8, 18)
+        lam, mu = Partition([9, 7, 4, 4, 3, 2, 2]), Partition([8, 7, 5, 5, 5, 4, 4])
+        stages = counting(monkeypatch, "_lr_stage")
+        for a, b in ((lam, mu), (mu, lam)):
+            assert multiply(make_class(ctx, a), make_class(ctx, b)).terms == {}
+        assert stages == []
+
+    def test_zero_terms_dropped_before_the_stages_match_oracle(self):
+        # seeded elements times a class of two or more rows, in boxes small
+        # enough for the Schur oracle; some terms of x pair with mu to zero
+        # and some do not, so both the dropped and the kept terms are checked
+        rng = random.Random(2203)
+        zero = nonzero = 0
+        for _ in range(100):
+            k, width = rng.randint(2, 4), rng.randint(2, 3)
+            ctx = RingContext(k, k + width)
+            rows = rng.randint(2, k)
+            mu = Partition(sorted((rng.randint(1, width) for _ in range(rows)), reverse=True))
+            if mu[0] == 1:
+                continue
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                parts = sorted((rng.randint(0, width) for _ in range(k)), reverse=True)
+                terms[tuple(parts)] = rng.choice((-2, 1, 3))
+            x = ChowElement(ctx, terms)
+            for lam in x.terms:
+                pair = schur_oracle_multiply(make_class(ctx, lam), make_class(ctx, mu))
+                if pair.terms:
+                    nonzero += 1
+                else:
+                    zero += 1
+            y = make_class(ctx, mu) + 2 * make_class(ctx, (1,))
+            expected = schur_oracle_multiply(x, y)
+            assert multiply(x, y) == expected, (k, width, terms, mu)
+            assert multiply(y, x) == expected, (k, width, terms, mu)
+        assert zero >= 40 and nonzero >= 40, (zero, nonzero)
+
+
 class TestCancellation:
     """Each content term scales the other factor before the kernel runs,
     so terms of opposite sign must still cancel exactly."""
