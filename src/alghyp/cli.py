@@ -166,6 +166,8 @@ def _parse_degrees(raw: str):
 # Intel Xeon, 2 CPUs), 10^4 rows take 0.19 s at m = 1 and 1.5 s at m = 10,
 # the widest sweep the two limits admit; at the work limit, 2,500 rows take
 # 0.67 s at m = 20, 100 rows 0.29 s at m = 100, and one row 0.1 s at m = 1000.
+# One certificate is one row, so `classify`, `certify` and `genus-bound`
+# refuse m^2 past the work limit before they read the degrees.
 _MAX_SWEEP_ROWS = 10_000
 _MAX_SWEEP_WORK = 1_000_000
 
@@ -279,6 +281,10 @@ def _verdict_json(c, report) -> dict:
 
 def _cmd_classify(args):
     v = parse_variety(args.variety)
+    if len(v.a) ** 2 > _MAX_SWEEP_WORK:
+        raise CLIError(
+            f"one degree list on {len(v.a)} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2"
+        )
     degrees = _parse_degrees(args.deg)
     c, report = _verdict(v, degrees)
     counterexamples = known_counterexamples(v, degrees)
@@ -368,6 +374,10 @@ def _cmd_schubert_dual(args):
 
 def _cmd_genus_bound(args):
     v = parse_variety(args.variety)
+    if len(v.a) ** 2 > _MAX_SWEEP_WORK:
+        raise CLIError(
+            f"one degree list on {len(v.a)} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2"
+        )
     degrees = _parse_degrees(args.deg)
     report = genus.hyperbolicity_certificate(v, degrees)
     if args.json:
@@ -385,6 +395,10 @@ def _cmd_genus_bound(args):
 
 def _cmd_certify(args):
     v = parse_variety(args.variety)
+    if len(v.a) ** 2 > _MAX_SWEEP_WORK:
+        raise CLIError(
+            f"one degree list on {len(v.a)} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2"
+        )
     degrees = _parse_degrees(args.deg)
     c, report = _verdict(v, degrees)
     if args.json:

@@ -9,12 +9,15 @@ strip, and any other term one Littlewood-Richardson stage per row, kept
 while the reverse reading word is a lattice word, with partial fillings
 merged by their shape and the shape before the last letter; a term of
 two or more rows first drops the terms whose product with it is zero.
-A single row is one stage, which is Pieri's rule.  There are no signs
-and no cache, and every product term passes the partition, coefficient
-and box checks of `ChowElement`.  An independent Schur-polynomial oracle
-lives in the tests.  All coefficients are Python ints; inputs that are
-not integers are rejected, not truncated.  All values are immutable, and
-every operation is a pure function.
+A single row is one stage, which is Pieri's rule.  In both kernels the
+bottom row takes every box left, with no loop over counts, and the strip
+and the last stage of every content term add their shapes, scaled by
+its coefficient, straight into the product's one dict.  There are no
+signs and no cache, and every product term passes the partition,
+coefficient and box checks of `ChowElement`.  An independent
+Schur-polynomial oracle lives in the tests.  All coefficients are Python
+ints; inputs that are not integers are rejected, not truncated.  All
+values are immutable, and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -223,19 +226,21 @@ def make_class(ctx: RingContext, lam) -> ChowElement:
     return ChowElement(ctx, {parts: 1})
 
 
-def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
-    """Sum over `terms` of every vertical strip of p boxes added to each partition.
+def _vertical_strips(terms, p: int, k: int, width: int, out: dict, scale: int) -> None:
+    """Add to `out` every vertical strip of p boxes on each term, times `scale`.
 
-    `terms` yields (parts, coeff) with trimmed int tuples; the result maps
-    trimmed tuples mu to summed coefficients.  A vertical strip puts at
-    most one box in each row (mu_i <= lam_i + 1, mu weakly decreasing), and
-    mu stays inside the k x width box.  The full rows take no box; the
-    other rows are filled top down with two choices each: no box, while
-    the rows below can take the boxes left, or one box, while the row
-    stays below the row above.  Hardly any prefix is a dead end, and every
-    shape emitted still passes through the validating constructors.
+    `terms` yields (parts, coeff) with trimmed int tuples, and `out` maps
+    trimmed tuples mu to summed coefficients; it is `multiply`'s one dict,
+    shared by every content term.  A vertical strip puts at most one box
+    in each row (mu_i <= lam_i + 1, mu weakly decreasing), and mu stays
+    inside the k x width box.  The full rows take no box; the other rows
+    but the bottom one are filled top down with two choices each: no box,
+    while the rows below can take the boxes left, or one box, while the
+    row stays below the row above.  One box is left for the bottom row,
+    which takes it while it stays below the row above.  Hardly any prefix
+    is a dead end, and every shape emitted still passes through the
+    validating constructors.
     """
-    out = {}
     get = out.get
     for lam, c in terms:
         rows = k if len(lam) + p > k else len(lam) + p
@@ -243,8 +248,9 @@ def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
         full = base.count(width)
         if rows - full < p:
             continue
+        c *= scale
         partial = [(base[:full], p)]
-        for i in range(full, rows):
+        for i in range(full, rows - 1):
             b = base[i]
             tail = lam[i + 1:]
             nxt = []
@@ -260,10 +266,17 @@ def _vertical_strips(terms, p: int, k: int, width: int) -> dict:
             partial = nxt
             if not partial:
                 break
-    return out
+        else:
+            # a row is skipped only while the rows below can take the boxes
+            # left, so the bottom row has exactly one box left to place
+            b = base[-1]
+            for prefix, _ in partial:
+                if b < (prefix[-1] if prefix else width):
+                    mu = prefix + (b + 1,)
+                    out[mu] = get(mu, 0) + c
 
 
-def _lr_stage(states: dict, m: int, k: int, width: int, final: bool) -> dict:
+def _lr_stage(states: dict, m: int, k: int, width: int, out: dict | None = None) -> dict:
     """Add m boxes of the next letter to every state as a horizontal strip.
 
     A state (shape, before) holds the summed coefficient of every partial
@@ -275,13 +288,18 @@ def _lr_stage(states: dict, m: int, k: int, width: int, final: bool) -> dict:
     m - cum of the boxes still to place go below row r; the first letter
     has no cut.  The shape stays inside the k x width box: row r takes at
     most the row above minus itself, and rows r+1.. at most row r minus
-    the bottom row.  A new state is keyed (new shape, shape), or by the
-    new shape alone in the `final` stage of a term, so fillings that reach
-    the same state are merged.  A single row is one final stage with no
-    cut, which is Pieri's row rule.  Every final shape still passes
-    through the validating constructors.
+    the bottom row.  The bottom row takes every box left, so it is no
+    loop over counts: it emits only where its cut is 0 and the boxes left
+    fit below the row above.  A stage that is not the last returns its
+    new states, keyed (new shape, shape), so fillings that reach the same
+    state are merged.  The last stage of a term is given `out`,
+    `multiply`'s one dict, and adds each new shape straight into it.  A
+    single row is one last stage with no cut, which is Pieri's row rule.
+    Every final shape still passes through the validating constructors.
     """
-    out = {}
+    final = out is not None
+    if not final:
+        out = {}
     get = out.get
     for (nu, before), c in states.items():
         rows = k if len(nu) >= k else len(nu) + 1
@@ -293,7 +311,7 @@ def _lr_stage(states: dict, m: int, k: int, width: int, final: bool) -> dict:
         cum = m if before is None else 0
         partial = [((), m)]  # (grown shape of rows < r, boxes left)
         above = width
-        for r in range(rows):
+        for r in range(rows - 1):
             b, tail = base[r], nu[r + 1:]
             top, after, cut = above - b, b - low, m - cum if cum < m else 0
             above, cum = b, cum + b - prev[r]
@@ -312,6 +330,16 @@ def _lr_stage(states: dict, m: int, k: int, width: int, final: bool) -> dict:
             partial = nxt
             if not partial:
                 break
+        else:
+            # the bottom row takes every box left, which the lattice word
+            # allows only where its cut is 0
+            if cum >= m:
+                top = above - low
+                for shape, left in partial:
+                    if left <= top:
+                        shape += (low + left,)
+                        key = shape if final else (shape, nu)
+                        out[key] = get(key, 0) + c
     return out
 
 
@@ -328,7 +356,9 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     some lam_i + mu_(k+1-i) > n-k, whose product with it is zero (the
     duality theorem; Fulton, Young Tableaux, ch. 9); a single row meets
     the same test in the stage's first check.  The unit class s[] leaves
-    the other factor as it is.  The kernels work on int tuples and drop
+    the other factor as it is.  The strip and the last stage of every
+    content term add their shapes, already scaled, into one dict, so the
+    product is built in one pass.  The kernels work on int tuples and drop
     shapes that leave the box; the sum can cancel, and `ChowElement`
     checks every term and drops zeros.
     """
@@ -342,9 +372,10 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     get = out.get
     for mu, cy in y._terms.items():
         if not mu:
-            grown = [(lam, cy * c) for lam, c in base]
+            for lam, c in base:
+                out[lam] = get(lam, 0) + cy * c
         elif mu[0] == 1:
-            grown = _vertical_strips([(lam, cy * c) for lam, c in base], len(mu), k, width).items()
+            _vertical_strips(base, len(mu), k, width, out, cy)
         else:
             # s[lam] s[mu] = 0 unless lam_i + mu_(k+1-i) <= n-k for every i;
             # a single row skips the test, which its first stage makes anyway
@@ -356,10 +387,8 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
             if not states:
                 continue
             for m in mu[:-1]:
-                states = _lr_stage(states, m, k, width, False)
-            grown = _lr_stage(states, mu[-1], k, width, True).items()
-        for nu, c in grown:
-            out[nu] = get(nu, 0) + c
+                states = _lr_stage(states, m, k, width)
+            _lr_stage(states, mu[-1], k, width, out)
     return ChowElement(ctx, out)
 
 

@@ -75,10 +75,43 @@ MUTANTS = (
     ),
     Mutant(
         "grassmann",
+        "key = shape if final else (shape, nu)",
+        "key = shape",
+        "the bottom row of a stage that is not the last must key its"
+        " states by (shape, shape before), as the rows above it do; a bare"
+        " shape cannot be read as a state by the next stage",
+    ),
+    Mutant(
+        "grassmann",
+        "if left <= top:",
+        "if left < top:",
+        "a bottom row that fills up to the row above is a valid strip;"
+        " dropping it loses terms that the Schur oracle keeps",
+    ),
+    Mutant(
+        "grassmann",
+        "if cum >= m:",
+        "if True:",
+        "without its cut test the bottom row takes boxes of a letter that"
+        " the lattice word forbids there; products gain coefficients that"
+        " the Schur oracle does not have",
+    ),
+    Mutant(
+        "grassmann",
+        "c *= scale",
+        "c *= 1",
+        "a column term of the content must scale every strip it adds by"
+        " its coefficient; products with a multiple of s[1] or 1^p differ"
+        " from the oracle",
+    ),
+    Mutant(
+        "grassmann",
         "if left < rows - i:",
         "if left <= rows - i:",
-        "skipping a row with more boxes left than the rows below can take"
-        " only keeps dead ends; the pinned fillings of `_vertical_strips` grow",
+        "skipping a row with as many boxes left as the rows below it"
+        " reaches the bottom row with two or more boxes left; that row"
+        " places one box, so it emits shapes a box short that the Schur"
+        " oracle does not have",
     ),
     Mutant(
         "chern",

@@ -155,6 +155,33 @@ class TestCommands:
         assert run_cli(capsys, "sweep", spec, "--range", f"3..{rows + 2}")[0] == 2
         assert len(verdicts) == 1
 
+    def test_certificate_factors_are_bounded(self, capsys, monkeypatch):
+        """One certificate is one sweep row: on m = 1001 copies of P(1),
+        m^2 is past the degrees x m^2 limit, and classify, certify and
+        genus-bound are refused before any verdict or certificate is
+        computed; m = 1000 reaches them."""
+        reached = []
+
+        def stub(*args):
+            reached.append(args)
+            raise RuntimeError("stop at the verdict")
+
+        monkeypatch.setattr("alghyp.cli.classify", stub)
+        monkeypatch.setattr("alghyp.genus.hyperbolicity_certificate", stub)
+        for command in ("classify", "certify", "genus-bound"):
+            for m, want in ((1001, 1), (1000, 2)):
+                del reached[:]
+                spec, degrees = "x".join(["P(1)"] * m), ",".join(["3"] * m)
+                code, out, err = run_cli(capsys, command, spec, "--deg", degrees)
+                assert (code, out, len(reached)) == (want, "", want - 1), (command, m)
+                if m == 1001:
+                    assert err == (f"error: one degree list on {m} factors is more than"
+                                   f" {_MAX_SWEEP_WORK} degrees x factors^2\n")
+        monkeypatch.undo()
+        spec, degrees = "x".join(["P(1)"] * 1000), ",".join(["3"] * 1000)
+        code, out, _ = run_cli(capsys, "certify", spec, "--deg", degrees)
+        assert code == 0 and out.endswith("no certificate; ContainsLines witness=d1\n")
+
     def test_negative_value_reaches_its_check(self, capsys):
         """A --range or --deg value that starts with '-' is read as the
         value in every spelling, abbreviated flags included, not as a flag;

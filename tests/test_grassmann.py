@@ -470,6 +470,45 @@ class TestCancellation:
         assert multiply(diff, s1).terms == {}
         assert multiply(s1, diff).terms == {}
 
+    def test_content_terms_cancel_in_one_dict(self):
+        # every content term adds its shapes into the product's one dict:
+        # in G(3,6), s[2] and s[1,1] both emit s[3,2] once from s[2,1] +
+        # s[1,1,1], so (s[2] - s[1,1]) cancels it, in either order
+        ctx = RingContext(3, 6)
+        x = make_class(ctx, (2, 1)) + make_class(ctx, (1, 1, 1))
+        y = make_class(ctx, (2,)) + (-1) * make_class(ctx, (1, 1))
+        expected = ChowElement(ctx, {(3, 1, 1): 1, (2, 2, 1): -1})
+        assert schur_oracle_multiply(x, y) == expected
+        assert multiply(x, y) == expected
+        assert multiply(y, x) == expected
+
+    def test_signed_content_grid_matches_oracle(self):
+        # seeded products (s[lam] + s[lam']) (s[mu] - s[mu']) in a square
+        # box, lam' the conjugate of lam: the coefficient of a shape nu is
+        # A(nu) - A(nu'), so every self-conjugate nu that the content terms
+        # emit cancels in the one dict; both orders match the Schur oracle
+        rng = random.Random(3007)
+        cancelled = 0
+        for _ in range(100):
+            k = rng.randint(2, 3)
+            ctx = RingContext(k, 2 * k)
+            lam, mu = (
+                Partition(sorted((rng.randint(0, k) for _ in range(k)), reverse=True))
+                for _ in range(2)
+            )
+            if mu == grassmann._conjugate(mu):
+                continue
+            x = make_class(ctx, lam) + make_class(ctx, grassmann._conjugate(lam))
+            c = rng.choice((-2, 1, 3))
+            y = c * make_class(ctx, mu) + (-c) * make_class(ctx, grassmann._conjugate(mu))
+            expected = schur_oracle_multiply(x, y)
+            assert multiply(x, y) == expected, (k, lam, mu, c)
+            assert multiply(y, x) == expected, (k, lam, mu, c)
+            both = set(multiply(x, make_class(ctx, mu)).terms)
+            both &= set(multiply(x, make_class(ctx, grassmann._conjugate(mu))).terms)
+            cancelled += len(both - set(expected.terms))
+        assert cancelled >= 15, cancelled
+
     def test_signed_line_classes_match_oracle(self):
         # c_top(Sym^d S*) minus one of its own classes s[d+1-j, j], times
         # s[1] + 2 s[1,1], in both orders, in G(2, N) with N <= 9
