@@ -62,8 +62,6 @@ def top_chern_sym(d: int, N: int) -> ChowElement:
             half.append(A * (q[j] + q[j - 2]) + B * q[j - 1])
         deg += 2
     c = [0] + half + half[: d - len(half)][::-1] + [0]
-    if c != c[::-1]:
-        raise AssertionError("top Chern product is not symmetric")
     if sum(c) != d ** (d + 1):
         raise AssertionError("top Chern coefficients do not sum to d^(d+1)")
     c.append(0)  # c[d+2] = 0, so the single-row class s[d+1] gets c[d+1]
@@ -83,6 +81,8 @@ class FanoClassReport:
     N: int
     expansion: ChowElement
     missing_class_ok: bool
+    # always None: the finite case d + 1 = 2(N - 2) has N - 2 < d + 1,
+    # which `fano_class` refuses; the field keeps the JSON key
     line_count: int | None = None
 
     def to_json_dict(self) -> dict:
@@ -115,14 +115,7 @@ def fano_class(d: int, N: int) -> FanoClassReport:
     ok = get((d + 1,), 0) == 0 and all(
         get((d + 1 - j, j), 0) > 0 for j in range(1, (d + 1) // 2 + 1)
     )
-    count = integrate(expansion) if d + 1 == 2 * (N - 2) else None
-    return FanoClassReport(
-        d=d,
-        N=N,
-        expansion=expansion,
-        missing_class_ok=ok,
-        line_count=count,
-    )
+    return FanoClassReport(d=d, N=N, expansion=expansion, missing_class_ok=ok)
 
 
 def paired_rearrangement(d: int, N: int | None = None) -> ChowElement:

@@ -172,6 +172,22 @@ _MAX_SWEEP_ROWS = 10_000
 _MAX_SWEEP_WORK = 1_000_000
 
 
+def _check_work(rows: int, m: int, raw_range: str | None = None) -> None:
+    """Refuse `rows` degree lists on a spec of m factors past the work
+    limit; a sweep passes its --range text, one degree list none."""
+    if rows * m**2 > _MAX_SWEEP_WORK:
+        head = "one degree list" if raw_range is None else f"bad range {raw_range!r}: {rows} degrees"
+        raise CLIError(f"{head} on {m} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2")
+
+
+def _read_degree_list(args):
+    """The variety and degrees of `classify`, `certify` and `genus-bound`,
+    refused in this order: the spec, the work limit, the degree list."""
+    v = parse_variety(args.variety)
+    _check_work(1, len(v.a))
+    return v, _parse_degrees(args.deg)
+
+
 def _parse_range(raw: str):
     lo, sep, hi = raw.partition("..")
     if not sep:
@@ -280,12 +296,7 @@ def _verdict_json(c, report) -> dict:
 
 
 def _cmd_classify(args):
-    v = parse_variety(args.variety)
-    if len(v.a) ** 2 > _MAX_SWEEP_WORK:
-        raise CLIError(
-            f"one degree list on {len(v.a)} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2"
-        )
-    degrees = _parse_degrees(args.deg)
+    v, degrees = _read_degree_list(args)
     c, report = _verdict(v, degrees)
     counterexamples = known_counterexamples(v, degrees)
     if args.json:
@@ -312,14 +323,11 @@ def _cmd_fano_class(args):
     report = chern.fano_class(args.d, args.N)
     if args.json:
         return _json_text(report.to_json_dict())
-    lines = [
-        f"class of the line scheme, d={report.d}, N={report.N}:",
-        f"  {report.expansion.to_text()}",
-        f"missing_class_ok: {report.missing_class_ok}",
-    ]
-    if report.line_count is not None:
-        lines.append(f"line count: {report.line_count}")
-    return "\n".join(lines)
+    return (
+        f"class of the line scheme, d={report.d}, N={report.N}:\n"
+        f"  {report.expansion.to_text()}\n"
+        f"missing_class_ok: {report.missing_class_ok}"
+    )
 
 
 def _cmd_line_count(args):
@@ -373,12 +381,7 @@ def _cmd_schubert_dual(args):
 
 
 def _cmd_genus_bound(args):
-    v = parse_variety(args.variety)
-    if len(v.a) ** 2 > _MAX_SWEEP_WORK:
-        raise CLIError(
-            f"one degree list on {len(v.a)} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2"
-        )
-    degrees = _parse_degrees(args.deg)
+    v, degrees = _read_degree_list(args)
     report = genus.hyperbolicity_certificate(v, degrees)
     if args.json:
         return _json_text(report.to_json_dict())
@@ -394,12 +397,7 @@ def _cmd_genus_bound(args):
 
 
 def _cmd_certify(args):
-    v = parse_variety(args.variety)
-    if len(v.a) ** 2 > _MAX_SWEEP_WORK:
-        raise CLIError(
-            f"one degree list on {len(v.a)} factors is more than {_MAX_SWEEP_WORK} degrees x factors^2"
-        )
-    degrees = _parse_degrees(args.deg)
+    v, degrees = _read_degree_list(args)
     c, report = _verdict(v, degrees)
     if args.json:
         return _json_text(
@@ -443,11 +441,7 @@ def _cmd_section_dom(args):
 def _cmd_sweep(args):
     v = parse_variety(args.variety)
     lo, hi = _parse_range(args.range)
-    if (hi - lo + 1) * v.m**2 > _MAX_SWEEP_WORK:
-        raise CLIError(
-            f"bad range {args.range!r}: {hi - lo + 1} degrees on {v.m} factors"
-            f" is more than {_MAX_SWEEP_WORK} degrees x factors^2"
-        )
+    _check_work(hi - lo + 1, v.m, args.range)
     rows = [(t, *_verdict(v, (t,) * v.m)) for t in range(lo, hi + 1)]
     if args.json:
         return _json_text(

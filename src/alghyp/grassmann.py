@@ -289,12 +289,13 @@ def _lr_stage(states: dict, m: int, k: int, width: int, out: dict | None = None)
     has no cut.  The shape stays inside the k x width box: row r takes at
     most the row above minus itself, and rows r+1.. at most row r minus
     the bottom row.  The bottom row takes every box left, so it is no
-    loop over counts: it emits only where its cut is 0 and the boxes left
-    fit below the row above.  A stage that is not the last returns its
-    new states, keyed (new shape, shape), so fillings that reach the same
-    state are merged.  The last stage of a term is given `out`,
-    `multiply`'s one dict, and adds each new shape straight into it.  A
-    single row is one last stage with no cut, which is Pieri's row rule.
+    loop over counts: it emits only where its cut is 0, and the rows
+    above leave it no more boxes than fit below the row above.  A stage
+    that is not the last returns its new states, keyed (new shape,
+    shape), so fillings that reach the same state are merged.  The last
+    stage of a term is given `out`, `multiply`'s one dict, and adds each
+    new shape straight into it.  A single row is one last stage with no
+    cut, which is Pieri's row rule.
     Every final shape still passes through the validating constructors.
     """
     final = out is not None
@@ -332,14 +333,16 @@ def _lr_stage(states: dict, m: int, k: int, width: int, out: dict | None = None)
                 break
         else:
             # the bottom row takes every box left, which the lattice word
-            # allows only where its cut is 0
+            # allows only where its cut is 0.  The boxes left always fit
+            # below the row above: the last loop row keeps a filling only
+            # when a >= left - after, with after = base[rows - 2] - low, so
+            # at most base[rows - 2] - low boxes are left; with a single
+            # row the entry check width - low < m gives the same bound.
             if cum >= m:
-                top = above - low
                 for shape, left in partial:
-                    if left <= top:
-                        shape += (low + left,)
-                        key = shape if final else (shape, nu)
-                        out[key] = get(key, 0) + c
+                    shape += (low + left,)
+                    key = shape if final else (shape, nu)
+                    out[key] = get(key, 0) + c
     return out
 
 

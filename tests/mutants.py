@@ -83,13 +83,6 @@ MUTANTS = (
     ),
     Mutant(
         "grassmann",
-        "if left <= top:",
-        "if left < top:",
-        "a bottom row that fills up to the row above is a valid strip;"
-        " dropping it loses terms that the Schur oracle keeps",
-    ),
-    Mutant(
-        "grassmann",
         "if cum >= m:",
         "if True:",
         "without its cut test the bottom row takes boxes of a letter that"
@@ -196,10 +189,31 @@ MUTANTS = (
     ),
     Mutant(
         "cli",
-        "(hi - lo + 1) * v.m**2 > _MAX_SWEEP_WORK",
-        "(hi - lo + 1) * v.m**2 >= _MAX_SWEEP_WORK",
-        "a sweep exactly at the degrees x factors^2 limit must be evaluated,"
-        " not refused",
+        "rows * m**2 > _MAX_SWEEP_WORK",
+        "rows * m**2 >= _MAX_SWEEP_WORK",
+        "a sweep or a certificate exactly at the degrees x factors^2 limit"
+        " must be evaluated, not refused",
+    ),
+    Mutant(
+        "cli",
+        "start += len(piece) + 1",
+        "start += len(piece) + 2",
+        "a later factor's refusal names its position in the whole spec;"
+        " skipping one character too many per 'x' shifts it",
+    ),
+    Mutant(
+        "cli",
+        "start + match.start(1)",
+        "start - match.start(1)",
+        "an unknown name in a later factor is found past the factor's"
+        " start, not before it; the pinned position moves",
+    ),
+    Mutant(
+        "cli",
+        "len(flag) > 2",
+        "len(flag) > 3",
+        "a three-character abbreviation such as --r or --d must take a"
+        " signed value too; argparse otherwise reads -5..3 as a flag",
     ),
     Mutant(
         "sections",

@@ -30,6 +30,10 @@ from tests.test_cli_golden import ALL_COMMANDS, GOLDEN, HELP, REJECTED
 from tests.test_sections import first_refused_diagonal
 
 
+# products of m copies of P(1), for the work budgets
+_M100, _M1000, _M1001 = ("x".join(["P(1)"] * m) for m in (100, 1000, 1001))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -61,6 +65,11 @@ class TestParseVariety:
             parse_variety("Gr(2,3")
         with pytest.raises(CLIError, match="position"):
             parse_variety("Gr(2,3)yP(2)")
+        # a later factor counts from the start of the whole spec
+        with pytest.raises(CLIError, match="position 6 "):
+            parse_variety("P(2)x Q(3)")
+        with pytest.raises(CLIError, match="position 11 "):
+            parse_variety("P(2)x P(2) y")
         with pytest.raises(CLIError):
             parse_variety("Fl(1,2,4)")
         with pytest.raises(CLIError):
@@ -119,77 +128,69 @@ class TestCommands:
         kinds = [line.split()[1] for line in out.strip().splitlines()]
         assert kinds == ["ContainsLines", "OpenGap", "Hyperbolic", "Hyperbolic"]
 
-    def test_sweep_width_is_bounded(self, capsys, monkeypatch):
-        """A range one degree wider than the limit is refused before any
-        verdict is computed; a range at the limit parses."""
-        assert _parse_range(f"7..{7 + _MAX_SWEEP_ROWS - 1}") == (7, 7 + _MAX_SWEEP_ROWS - 1)
-
-        def no_verdict(*args):
-            raise AssertionError("a verdict was computed")
-
-        monkeypatch.setattr("alghyp.cli._verdict", no_verdict)
-        for argv in (["sweep", "P(4)", "--range", f"1..{_MAX_SWEEP_ROWS + 1}"],
-                     ["sweep", "P(4)", f"--range=-5..{_MAX_SWEEP_ROWS - 5}", "--json"]):
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, out) == (1, "")
-            assert err.count("\n") == 1 and f"more than {_MAX_SWEEP_ROWS} degrees" in err
-
-    def test_sweep_work_is_bounded(self, capsys, monkeypatch):
-        """On a spec of m = 100 factors, a range one degree wider than the
-        degrees x m^2 limit admits is refused before any verdict is
-        computed; a range at the limit reaches its first verdict."""
-        m = 100
-        rows = _MAX_SWEEP_WORK // m**2
-        spec = "x".join(["P(1)"] * m)
-        verdicts = []
-
-        def first_verdict(*args):
-            verdicts.append(args)
-            raise RuntimeError("stop after the first verdict")
-
-        monkeypatch.setattr("alghyp.cli._verdict", first_verdict)
-        assert run_cli(capsys, "sweep", spec, "--range", f"3..{rows + 3}") == (
-            1, "", f"error: bad range '3..{rows + 3}': {rows + 1} degrees on {m} factors"
-            f" is more than {_MAX_SWEEP_WORK} degrees x factors^2\n")
-        assert verdicts == []
-        assert run_cli(capsys, "sweep", spec, "--range", f"3..{rows + 2}")[0] == 2
-        assert len(verdicts) == 1
-
-    def test_certificate_factors_are_bounded(self, capsys, monkeypatch):
-        """One certificate is one sweep row: on m = 1001 copies of P(1),
-        m^2 is past the degrees x m^2 limit, and classify, certify and
-        genus-bound are refused before any verdict or certificate is
-        computed; m = 1000 reaches them."""
+    # The work budgets, one row each: an argv one past the limit, its
+    # exact refusal, and the argv at the limit.  The refused argv compute
+    # no verdict or certificate; the argv at the limit reach the first one.
+    @pytest.mark.parametrize(
+        "refused, refusal, at_limit",
+        [
+            pytest.param(
+                ["sweep", "P(4)", "--range", f"1..{_MAX_SWEEP_ROWS + 1}"],
+                f"bad range '1..{_MAX_SWEEP_ROWS + 1}': more than {_MAX_SWEEP_ROWS} degrees",
+                ["sweep", "P(4)", "--range", f"7..{6 + _MAX_SWEEP_ROWS}"],
+                id="sweep-width",
+            ),
+            pytest.param(
+                ["sweep", "P(4)", f"--range=-5..{_MAX_SWEEP_ROWS - 5}", "--json"],
+                f"bad range '-5..{_MAX_SWEEP_ROWS - 5}': more than {_MAX_SWEEP_ROWS} degrees",
+                ["sweep", "P(4)", f"--range=-5..{_MAX_SWEEP_ROWS - 6}", "--json"],
+                id="sweep-width-signed",
+            ),
+            # m = 100 factors admit rows = 100 degrees
+            pytest.param(
+                ["sweep", _M100, "--range", "3..103"],
+                f"bad range '3..103': 101 degrees on 100 factors is more than {_MAX_SWEEP_WORK} degrees x factors^2",
+                ["sweep", _M100, "--range", "3..102"],
+                id="sweep-work",
+            ),
+            # one certificate is one sweep row, so m = 1000 factors is the limit
+            *(
+                pytest.param(
+                    [command, _M1001, "--deg", ",".join(["3"] * 1001)],
+                    f"one degree list on 1001 factors is more than {_MAX_SWEEP_WORK} degrees x factors^2",
+                    [command, _M1000, "--deg", ",".join(["3"] * 1000)],
+                    id=f"{command}-factors",
+                )
+                for command in ("classify", "certify", "genus-bound")
+            ),
+        ],
+    )
+    def test_work_budget(self, capsys, monkeypatch, refused, refusal, at_limit):
         reached = []
 
         def stub(*args):
             reached.append(args)
-            raise RuntimeError("stop at the verdict")
+            raise RuntimeError("stop at the first verdict")
 
         monkeypatch.setattr("alghyp.cli.classify", stub)
         monkeypatch.setattr("alghyp.genus.hyperbolicity_certificate", stub)
-        for command in ("classify", "certify", "genus-bound"):
-            for m, want in ((1001, 1), (1000, 2)):
-                del reached[:]
-                spec, degrees = "x".join(["P(1)"] * m), ",".join(["3"] * m)
-                code, out, err = run_cli(capsys, command, spec, "--deg", degrees)
-                assert (code, out, len(reached)) == (want, "", want - 1), (command, m)
-                if m == 1001:
-                    assert err == (f"error: one degree list on {m} factors is more than"
-                                   f" {_MAX_SWEEP_WORK} degrees x factors^2\n")
-        monkeypatch.undo()
-        spec, degrees = "x".join(["P(1)"] * 1000), ",".join(["3"] * 1000)
-        code, out, _ = run_cli(capsys, "certify", spec, "--deg", degrees)
+        assert run_cli(capsys, *refused) == (1, "", f"error: {refusal}\n")
+        assert reached == []
+        assert run_cli(capsys, *at_limit)[:2] == (2, "")
+        assert len(reached) == 1
+
+    def test_certify_runs_at_the_factor_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", _M1000, "--deg", ",".join(["3"] * 1000))
         assert code == 0 and out.endswith("no certificate; ContainsLines witness=d1\n")
 
     def test_negative_value_reaches_its_check(self, capsys):
         """A --range or --deg value that starts with '-' is read as the
         value in every spelling, abbreviated flags included, not as a flag;
         a real flag still is one."""
-        for spelled in (["--range", "-5..3"], ["--range=-5..3"], ["--ran", "-5..3"]):
+        for spelled in (["--range", "-5..3"], ["--range=-5..3"], ["--ran", "-5..3"], ["--r", "-5..3"]):
             assert run_cli(capsys, "sweep", "P(4)", *spelled) == (
                 1, "", "error: degrees must be >= 1, got (-5,)\n")
-        for spelled in (["--deg", "-5,3"], ["--deg=-5,3"], ["--de", "-5,3"]):
+        for spelled in (["--deg", "-5,3"], ["--deg=-5,3"], ["--de", "-5,3"], ["--d", "-5,3"]):
             assert run_cli(capsys, "classify", "P(4)", *spelled) == (
                 1, "", "error: P(4) has 1 degree slots, got 2\n")
         assert run_cli(capsys, "fano-class", "--d", "-5", "--N", "7") == (

@@ -2,8 +2,10 @@
 
 `tests/golden/cli.json` pins the 16 acceptance commands, one text-mode
 command for each epsilon and classification rendering path, one
-refusal (exit 1) per command that checks a library precondition, and one
-`info` refusal per catalog gate (argument range, D >= 1, a <= -2).
+refusal (exit 1) per command that checks a library precondition, one
+`info` refusal per catalog gate (argument range, D >= 1, a <= -2), the
+`section-dom` refusal of a missing flag, and the text renders of
+`fano-class` and `section-dom --grid`.
 `tests/golden/schemas.json` pins the `json.dumps` text of every published
 `*_SCHEMA` in `alghyp.schemas`, key order included.
 `tests/golden/work.json` pins, for each golden argv, its Python calls to
@@ -59,10 +61,18 @@ REFUSALS = (
     ("info", "P(0)"),
     ("info", "Fl(2,2;5)"),
     ("info", "Fl(1,5;5)"),
+    ("section-dom", "--n", "2"),
+)
+
+# text renders that no other golden argv runs, last so that the earlier
+# entries keep their places in the goldens
+TEXT_RENDERS = (
+    ("fano-class", "--d", "4", "--N", "7"),
+    ("section-dom", "--grid"),
 )
 
 
-ALL_COMMANDS = ACCEPTANCE_COMMANDS + EXTRA_COMMANDS + REFUSALS
+ALL_COMMANDS = ACCEPTANCE_COMMANDS + EXTRA_COMMANDS + REFUSALS + TEXT_RENDERS
 
 
 @pytest.fixture(scope="module")
