@@ -18,9 +18,7 @@ in the ring, is the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .grassmann import ChowElement, RingContext, integrate, make_class, multiply
+from .grassmann import ChowElement, RingContext, _Record, integrate, make_class, multiply
 from .varieties import _integers
 
 
@@ -72,18 +70,21 @@ def top_chern_sym(d: int, N: int) -> ChowElement:
     return ChowElement(RingContext(2, N), terms)
 
 
-@dataclass(frozen=True)
-class FanoClassReport:
+class FanoClassReport(_Record):
     """Schubert expansion of the class of the scheme of lines on a very
     general degree-d hypersurface, with the positivity certificate."""
 
-    d: int
-    N: int
-    expansion: ChowElement
-    missing_class_ok: bool
-    # always None: the finite case d + 1 = 2(N - 2) has N - 2 < d + 1,
-    # which `fano_class` refuses; the field keeps the JSON key
-    line_count: int | None = None
+    __slots__ = ("d", "N", "expansion", "missing_class_ok", "line_count")
+
+    # line_count is always None: the finite case d + 1 = 2(N - 2) has
+    # N - 2 < d + 1, which `fano_class` refuses; the field keeps the JSON key
+    def __init__(self, d: int, N: int, expansion: ChowElement, missing_class_ok: bool,
+                 line_count: int | None = None):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "expansion", expansion)
+        object.__setattr__(self, "missing_class_ok", missing_class_ok)
+        object.__setattr__(self, "line_count", line_count)
 
     def to_json_dict(self) -> dict:
         return {

@@ -388,7 +388,7 @@ def _cmd_genus_bound(args):
     lines = [f"{v.name} deg={_fmt_ints(degrees)}"]
     for case in report.cases:
         where = "uniform" if case.j is None else f"j={case.j + 1}"
-        coeffs = ", ".join(str(c) for c in case.coefficients)
+        coeffs = ", ".join(case.coefficient_texts())
         lines.append(f"case {case.case} ({where}): 2g-2 >= [{coeffs}] . e")
     lines.append(f"epsilon: {_eps_str(report.epsilon)} (binding case {report.binding.case})")
     for flag_text in report.ledger_flags:

@@ -13,10 +13,10 @@ by comparing integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
+from .grassmann import _Record
 from .varieties import VarietyDescriptor, check_degrees
 
 
@@ -51,20 +51,27 @@ _SMALL_DEGREE_FLAG = (
 )
 
 
-@dataclass(frozen=True)
-class CaseBound:
+class CaseBound(_Record):
     """One evaluated proof case: label, distinguished index (None for the
     uniform case), and the exact coefficient vector as integer numerators
     over one positive denominator."""
 
-    case: str
-    j: int | None
-    numerators: tuple
-    denominator: int
+    __slots__ = ("case", "j", "numerators", "denominator")
+
+    def __init__(self, case: str, j: int | None, numerators: tuple, denominator: int):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def coefficients(self) -> tuple:
         return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+    def coefficient_texts(self) -> list:
+        """`str` of each of `coefficients`, built from the integers."""
+        d = self.denominator
+        return [str(n // g) if (g := gcd(n, d)) == d else f"{n // g}/{d // g}" for n in self.numerators]
 
     def minimum(self) -> Fraction:
         return Fraction(min(self.numerators), self.denominator)
@@ -73,21 +80,24 @@ class CaseBound:
         return {
             "case": self.case,
             "j": self.j,
-            "coefficients": [str(c) for c in self.coefficients],
+            "coefficients": self.coefficient_texts(),
         }
 
 
-@dataclass(frozen=True)
-class GenusBoundReport:
+class GenusBoundReport(_Record):
     """All proof-case bounds for one hypersurface, with the certified
     constant (present iff every case minimum is positive)."""
 
-    variety: str
-    degrees: tuple
-    cases: tuple
-    epsilon: Fraction | None
-    binding: CaseBound
-    ledger_flags: tuple
+    __slots__ = ("variety", "degrees", "cases", "epsilon", "binding", "ledger_flags")
+
+    def __init__(self, variety: str, degrees: tuple, cases: tuple, epsilon: Fraction | None,
+                 binding: CaseBound, ledger_flags: tuple):
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "binding", binding)
+        object.__setattr__(self, "ledger_flags", ledger_flags)
 
     def to_json_dict(self) -> dict:
         return {

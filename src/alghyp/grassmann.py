@@ -23,7 +23,6 @@ values are immutable, and every operation is a pure function.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from types import MappingProxyType
 
 
@@ -79,21 +78,53 @@ def _conjugate(lam: Partition) -> Partition:
     return _checked([sum(p > i for p in lam) for i in range(lam[0] if lam else 0)])
 
 
-@dataclass(frozen=True)
-class RingContext:
+class _Record:
+    """Immutable value record: a subclass lists two or more fields in
+    `__slots__`, sets them in its `__init__` with `object.__setattr__`, and
+    takes equality within its class, hash, repr and copy/pickle from here."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class RingContext(_Record):
     """The Grassmannian G(k, n) of k-planes in n-space; fixes the box."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self):
+    def __init__(self, k: int, n: int):
         try:
-            object.__setattr__(self, "k", operator.index(self.k))
-            object.__setattr__(self, "n", operator.index(self.n))
+            k = operator.index(k)
+            n = operator.index(n)
         except TypeError:
-            raise ValueError(f"k and n must be integers, got k={self.k!r}, n={self.n!r}") from None
-        if self.k < 1 or self.n <= self.k:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+            raise ValueError(f"k and n must be integers, got k={k!r}, n={n!r}") from None
+        if k < 1 or n <= k:
+            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @property
     def width(self) -> int:
@@ -144,6 +175,9 @@ class ChowElement:
     def __setattr__(self, name, value):
         raise AttributeError("ChowElement is immutable")
 
+    def __reduce__(self):
+        return ChowElement, (self.context, dict(self._terms))
+
     @property
     def terms(self) -> MappingProxyType:
         """The terms as a read-only {Partition: coefficient} mapping."""
@@ -183,7 +217,7 @@ class ChowElement:
     def _check_context(self, other):
         if not isinstance(other, ChowElement):
             raise TypeError(f"expected ChowElement, got {type(other).__name__}")
-        if self.context != other.context:
+        if self.context is not other.context and self.context != other.context:
             raise ValueError(
                 f"incompatible ring contexts {self.context} and {other.context}"
             )

@@ -8,31 +8,27 @@ point suffices, fixed at (1:0:...:0).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 
+from .grassmann import _Record
 from .varieties import _integers
 
 
-@dataclass(frozen=True)
-class SectionDominationResult:
+class SectionDominationResult(_Record):
     """Outcome of one projective-space check, with the rank certificate."""
 
-    n: int
-    d: int
-    ok: bool
-    rank: int
-    target_dim: int
+    __slots__ = ("n", "d", "ok", "rank", "target_dim")
+
+    def __init__(self, n: int, d: int, ok: bool, rank: int, target_dim: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "target_dim", target_dim)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "ok": self.ok,
-            "rank": self.rank,
-            "target_dim": self.target_dim,
-        }
+        return dict(zip(self.__slots__, self._values(self)))
 
 
 def check_projective_space(n: int, d: int) -> SectionDominationResult:

@@ -20,28 +20,29 @@ a discrepancy note that is surfaced in every JSON report.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+
+from .grassmann import _Record
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
+class VarietyDescriptor(_Record):
     """Numerical descriptor: dimension D, canonical coefficients a (all
     <= -2, one per Picard generator), and factor provenance for products."""
 
-    name: str
-    D: int
-    a: tuple
-    factors: tuple = ()
-    notes: tuple = ()
+    __slots__ = ("name", "D", "a", "factors", "notes")
 
-    def __post_init__(self):
-        if not self.a:
-            raise ValueError(f"{self.name}: need m >= 1 canonical coefficients")
-        if self.D < 1:
-            raise ValueError(f"{self.name}: dimension {self.D} violates D >= 1")
-        for ai in self.a:
+    def __init__(self, name: str, D: int, a: tuple, factors: tuple = (), notes: tuple = ()):
+        if not a:
+            raise ValueError(f"{name}: need m >= 1 canonical coefficients")
+        if D < 1:
+            raise ValueError(f"{name}: dimension {D} violates D >= 1")
+        for ai in a:
             if ai > -2:
-                raise ValueError(f"{self.name}: canonical coefficient {ai} violates a <= -2")
+                raise ValueError(f"{name}: canonical coefficient {ai} violates a <= -2")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def m(self) -> int:
@@ -201,24 +202,22 @@ OPEN_GAP = "OpenGap"
 LOW_DIMENSION = "LowDimension"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Outcome of the degree-threshold dichotomy for one multidegree.
 
     `witness` is the 0-based index forcing lines (ContainsLines only);
     `boundary` lists the 0-based indices sitting at D - a_i - 3 (OpenGap).
     """
 
-    kind: str
-    witness: int | None = None
-    boundary: tuple = ()
+    __slots__ = ("kind", "witness", "boundary")
+
+    def __init__(self, kind: str, witness: int | None = None, boundary: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "boundary", boundary)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": self.witness,
-            "boundary": list(self.boundary),
-        }
+        return dict(zip(self.__slots__, self._values(self)), boundary=list(self.boundary))
 
 
 def classify(variety: VarietyDescriptor, degrees) -> Classification:
@@ -240,16 +239,18 @@ def classify(variety: VarietyDescriptor, degrees) -> Classification:
     return Classification(OPEN_GAP, boundary=boundary)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """Known failure of the open boundary on a product of projective
     spaces, keyed by the dimension n of each P^n factor in descending
     order; the rule of its `citation` in `_RULES` reads the degrees."""
 
-    spaces: tuple
-    condition: str
-    note: str
-    citation: str
+    __slots__ = ("spaces", "condition", "note", "citation")
+
+    def __init__(self, spaces: tuple, condition: str, note: str, citation: str):
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "citation", citation)
 
     @property
     def variety(self) -> str:

@@ -216,6 +216,35 @@ MUTANTS = (
         " signed value too; argparse otherwise reads -5..3 as a flag",
     ),
     Mutant(
+        "grassmann",
+        "other.__class__ is self.__class__",
+        "other.__class__ is not self.__class__",
+        "a record equals another record of its own class with the same"
+        " fields; with the class test inverted two equal contexts differ,"
+        " and the record table fails",
+    ),
+    Mutant(
+        "grassmann",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        "a record's fields are read-only; a mutant that assigns them lets"
+        " the record table change a field in place",
+    ),
+    Mutant(
+        "grassmann",
+        '", ".join(map("{}={!r}".format',
+        '",".join(map("{}={!r}".format',
+        "a record's repr separates its fields by a comma and a space, as"
+        " the refusal texts and the record table read it",
+    ),
+    Mutant(
+        "grassmann",
+        "return type(self), self._values(self)",
+        "return type(self), self._values(self)[::-1]",
+        "copy, deepcopy and pickle rebuild a record from its fields in"
+        " field order; reversed, a copy is refused or differs from the original",
+    ),
+    Mutant(
         "sections",
         "if 3 * bits >= 10 * limit:",
         "if 3 * bits > 10 * limit:",

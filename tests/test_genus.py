@@ -177,6 +177,21 @@ def test_case_bound_reads_its_numerators_over_one_denominator():
     assert c.to_json_dict() == {"case": "C", "j": 0, "coefficients": ["1/2", "-2/3"]}
 
 
+def test_coefficient_texts_are_the_fraction_texts():
+    """Each text built from the integers is `str(Fraction(n, d))`, over
+    seeded numerators, zero and multiples of d included, and the case
+    denominators 1, 2 and d_j."""
+    rng = random.Random(32)
+    for d in (1, 2, *sorted(rng.sample(range(3, 200), 12))):
+        numerators = (0, d, -d, 3 * d, *(rng.randint(-(10**6), 10**6) for _ in range(300)))
+        case = CaseBound("C", 0, numerators, d)
+        want = [str(Fraction(n, d)) for n in numerators]
+        assert case.coefficient_texts() == want == [str(c) for c in case.coefficients]
+    for v in catalog_instances(d_min=1, d_max=9):
+        for case in hyperbolicity_certificate(v, (rng.randint(1, 30),) * v.m).cases:
+            assert case.coefficient_texts() == [str(c) for c in case.coefficients]
+
+
 class TestCertificate:
     def test_quartic_fourfold(self):
         report = hyperbolicity_certificate(projective_space(4), (7,))
