@@ -189,10 +189,8 @@ def _read_degree_list(args):
 
 
 def _parse_range(raw: str):
-    lo, sep, hi = raw.partition("..")
-    if not sep:
-        raise CLIError(f"bad range {raw!r}: expected lo..hi")
-    try:
+    lo, _, hi = raw.partition("..")
+    try:  # without '..' hi is '', which `integer` refuses
         lo, hi = integer(lo), integer(hi)
     except CLIError as err:
         raise CLIError(f"bad range {raw!r}: expected lo..hi") from err

@@ -128,10 +128,11 @@ def hyperbolicity_certificate(
         else:
             complete = False
     # the lowest (minimum, case, j) binds, each minimum scaled to the common
-    # denominator; uniform case A sorts as j = -1
+    # denominator; the one case A ties no other A, and cases B and C are
+    # appended in order of j, so their index orders them as j does
     scale = lcm(2, *degrees)
     *_, at = min(
-        (min(c.numerators) * (scale // c.denominator), c.case, -1 if c.j is None else c.j, at)
+        (min(c.numerators) * (scale // c.denominator), c.case, at)
         for at, c in enumerate(cases)
     )
     binding = cases[at]

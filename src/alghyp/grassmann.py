@@ -141,14 +141,15 @@ class RingContext(_Record):
         return len(parts) <= self.k and (not parts or parts[0] <= self.width)
 
 
-class ChowElement:
+class ChowElement(_Record):
     """Formal integer combination of Schubert classes of a fixed G(k, n).
 
     Stored terms never include zero coefficients or out-of-box partitions;
-    instances are immutable.  Terms are held in one private dict keyed by
-    the `Partition`s that `_checked` returns; `terms` is a read-only view
-    of it.  Use `make_class` to build basis classes with the
-    box-truncation convention.
+    instances are immutable records, and copies rebuild them through the
+    constructor, which copies the dict.  Terms are held in one private
+    dict keyed by the `Partition`s that `_checked` returns; `terms` is a
+    read-only view of it.  Use `make_class` to build basis classes with
+    the box-truncation convention.
     """
 
     __slots__ = ("context", "_terms")
@@ -172,12 +173,6 @@ class ChowElement:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ChowElement is immutable")
-
-    def __reduce__(self):
-        return ChowElement, (self.context, dict(self._terms))
-
     @property
     def terms(self) -> MappingProxyType:
         """The terms as a read-only {Partition: coefficient} mapping."""
@@ -190,14 +185,7 @@ class ChowElement:
         """Terms in canonical order (partitions lex descending)."""
         return sorted(self._terms.items(), reverse=True)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChowElement)
-            and self.context == other.context
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # the record hash would hash the dict
         return hash((self.context, frozenset(self._terms.items())))
 
     def __add__(self, other):
@@ -297,17 +285,18 @@ def _vertical_strips(terms, p: int, k: int, width: int, out: dict, scale: int) -
                     else:
                         mu = prefix + (b + 1,) + tail
                         out[mu] = get(mu, 0) + c
+            # never empty: the filling that takes a box in each row from
+            # `full` on (b_full < width, b_(i-1) + 1 > b_i, and p <= rows -
+            # full fits the p - 1 rows) until one box is left, then skips
+            # (1 < rows - i in every loop row), lives through every row
             partial = nxt
-            if not partial:
-                break
-        else:
-            # a row is skipped only while the rows below can take the boxes
-            # left, so the bottom row has exactly one box left to place
-            b = base[-1]
-            for prefix, _ in partial:
-                if b < (prefix[-1] if prefix else width):
-                    mu = prefix + (b + 1,)
-                    out[mu] = get(mu, 0) + c
+        # a row is skipped only while the rows below can take the boxes
+        # left, so the bottom row has exactly one box left to place
+        b = base[-1]
+        for prefix, _ in partial:
+            if b < (prefix[-1] if prefix else width):
+                mu = prefix + (b + 1,)
+                out[mu] = get(mu, 0) + c
 
 
 def _lr_stage(states: dict, m: int, k: int, width: int, out: dict | None = None) -> dict:

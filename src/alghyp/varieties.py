@@ -142,8 +142,9 @@ def flag(ks, n: int) -> VarietyDescriptor:
     D, a = _type_a(ks, n)
     ext = (0, *ks, n)
     stated = sum(ext[i + 1] * (ext[i + 1] - ext[i]) for i in range(len(ks) + 1))
-    dim_note = () if stated == D else (_FLAG_DIM_NOTE.format(stated=stated, used=D),)
-    return VarietyDescriptor(name, D, a, notes=(*dim_note, _FLAG_LINE_NOTE))
+    # stated - D = sum_(i=0..m) (k_(i+1) - k_i)^2 > 0, so the note always applies
+    dim_note = _FLAG_DIM_NOTE.format(stated=stated, used=D)
+    return VarietyDescriptor(name, D, a, notes=(dim_note, _FLAG_LINE_NOTE))
 
 
 def product(*varieties: VarietyDescriptor) -> VarietyDescriptor:

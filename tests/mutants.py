@@ -245,6 +245,340 @@ MUTANTS = (
         " field order; reversed, a copy is refused or differs from the original",
     ),
     Mutant(
+        "grassmann",
+        "class ChowElement(_Record):",
+        "class ChowElement:",
+        "an element takes read-only fields, equality and copies from the"
+        " record base; without it two equal elements differ, and a field"
+        " can be assigned or deleted",
+    ),
+    Mutant(
+        "grassmann",
+        "if min(lam) < 0:",
+        "if min(lam) <= 0:",
+        "a part 0 before a larger part is out of order, not negative; the"
+        " pinned refusal of (0, 1) names the order",
+    ),
+    Mutant(
+        "grassmann",
+        "if not isinstance(scalar, int):",
+        "if False:",
+        "a Fraction or float scalar must raise TypeError; without the"
+        " test the constructor refuses its coefficients with ValueError",
+    ),
+    Mutant(
+        "grassmann",
+        "scalar * c",
+        "scalar // c",
+        "scaling multiplies every coefficient; 2 * (3 * s[1]) must have"
+        " coefficient 6, where the quotient gives 0",
+    ),
+    Mutant(
+        "grassmann",
+        "if not isinstance(other, ChowElement):",
+        "if False:",
+        "x + 1 must raise TypeError naming the operand's type; without"
+        " the test it raises AttributeError",
+    ),
+    Mutant(
+        "chern",
+        "raise N to at least {d + 3}",
+        "raise N to at least {d + 4}",
+        "the refusal of a box too narrow for degree d + 1 names the"
+        " smallest N that holds it, d + 3; the pinned text of fano_class(2, 4)"
+        " reads 5",
+    ),
+    Mutant(
+        "chern",
+        "== 0 and all(",
+        "== 0 or all(",
+        "the certificate needs both clauses; an expansion stubbed with a"
+        " zero two-row class must report missing_class_ok False",
+    ),
+    Mutant(
+        "chern",
+        'if N < 4:\n        raise ValueError("N must be >= 4")\n    ctx',
+        'if N <= 4:\n        raise ValueError("N must be >= 4")\n    ctx',
+        "the paired route runs in G(2, 4), the smallest box, and agrees"
+        " with top_chern_sym(2, 4) there",
+    ),
+    Mutant(
+        "cli",
+        "text[:8]",
+        "text[:9]",
+        "the refusal of an integer too long to convert quotes its first"
+        " eight digits, as the pinned text reads",
+    ),
+    Mutant(
+        "cli",
+        'if name == "Fl" else',
+        'if name != "Fl" else',
+        "an Fl spec without its ';n' is refused with the Fl grammar, and"
+        " any other name with its arity; both texts are pinned",
+    ),
+    Mutant(
+        "cli",
+        'if pos else "a term"',
+        'if True else "a term"',
+        "a term missing at position 0 is refused as 'expected a term';"
+        " only a later one needs its sign, and both texts are pinned",
+    ),
+    Mutant(
+        "cli",
+        "_MAX_SWEEP_ROWS = 10_000",
+        "_MAX_SWEEP_ROWS = 10_001",
+        "the README states a sweep of at most 10^4 degrees; the work"
+        " budget test pins the literal limit",
+    ),
+    Mutant(
+        "cli",
+        "_MAX_SWEEP_WORK = 1_000_000",
+        "_MAX_SWEEP_WORK = 1_000_001",
+        "the README states rows x factors^2 at most 10^6; the work budget"
+        " test pins the literal limit",
+    ),
+    Mutant(
+        "cli",
+        "if hi < lo:",
+        "if hi <= lo:",
+        "a range of one degree, 3..3, is a sweep of one row, not an empty"
+        " range",
+    ),
+    Mutant(
+        "cli",
+        "if isinstance(obj, (list, tuple)):",
+        "if True:",
+        "any other leaf of a report raises json's own TypeError text; an"
+        " iterable such as a frozenset must not be written as a list",
+    ),
+    Mutant(
+        "cli",
+        "'pass' if r.ok else 'FAIL'",
+        "'pass' if True else 'FAIL'",
+        "the section-dom text marks a failed check FAIL; a stubbed failing"
+        " result must print it",
+    ),
+    Mutant(
+        "cli",
+        '({"help": help_text} if help_text else {})',
+        '({"help": help_text} if True else {})',
+        "a leaf without help text stays out of its group's command list;"
+        " schubert --help must give mul, integrate and dual no line of their own",
+    ),
+    Mutant(
+        "cli",
+        "(flag) > 2",
+        "(flag) >= 2",
+        "the separator '--' abbreviates no flag, so a signed value after"
+        " it stays apart; joined, argparse would read '--=-5..3'",
+    ),
+    Mutant(
+        "cli",
+        'if __name__ == "__main__":',
+        "if False:",
+        "python -m alghyp.cli runs main through this guard; without it the"
+        " module prints nothing and exits 0",
+    ),
+    Mutant(
+        "varieties",
+        "if not ks:",
+        "if False:",
+        "Fl with no subspace dimension is refused by name; without the"
+        " check it raises IndexError",
+    ),
+    Mutant(
+        "varieties",
+        "if not varieties:",
+        "if False:",
+        "a product of no factors is refused by name; without the check the"
+        " descriptor refuses dimension 0 with another text",
+    ),
+    Mutant(
+        "varieties",
+        "(stated=stated, used=D)",
+        "(stated=D, used=D)",
+        "every flag's note quotes the stated sum, which exceeds D by the sum"
+        " of the squared steps of 0 < k_1 < ... < k_m < n; the goldens and"
+        " the note check over every flag with n <= 8 read it",
+    ),
+    Mutant(
+        "chern",
+        "if sum(c) != d ** (d + 1):",
+        "if False:",
+        "equivalent: the root product's coefficients sum to its value at"
+        " alpha = beta = 1, which is d^(d+1) for every d, so the guard never"
+        " fires on this code; the killed row d ** (d + 1) -> d ** d shows"
+        " that it can",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if isinstance(parts, Partition):",
+        "if False:",
+        "equivalent: `_checked` builds every Partition, so checking one"
+        " again gives an equal Partition; the shortcut saves the scan",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "(lam and lam[-1] < 0)",
+        "(lam and lam[-1] <= 0)",
+        "equivalent: the trim above leaves no last part 0",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "lam[-1] < 0)",
+        "lam[-1] < 1)",
+        "equivalent: the trim above leaves no last part 0, so < 1 reads"
+        " as < 0",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "range(lam[0] if lam else 0)",
+        "range(lam[0] if lam else 1)",
+        "equivalent: the empty partition's conjugate becomes [0], which"
+        " `_checked` trims to ()",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "elif c >= 0:",
+        "elif c > 0:",
+        "equivalent: a stored coefficient is never 0, because the"
+        " constructor drops zeros",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "elif c >= 0",
+        "elif c >= 1",
+        "equivalent: a stored coefficient is never 0, so >= 1 reads as"
+        " >= 0",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "len(lam) + p > k",
+        "len(lam) + p >= k",
+        "equivalent: at len(lam) + p = k both branches give k rows",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "range(full, rows - 1)",
+        "range(full, rows)",
+        "equivalent: the loop's last row is then the bottom row, where one"
+        " box is left, no skip is allowed and a box ends the strip, so it"
+        " emits what the bottom-row block would and leaves the block no"
+        " filling; the block saves that row's loop work on every strip",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "rows = k if len(nu) >= k else",
+        "rows = k if True else",
+        "equivalent: a horizontal strip adds no box below a row that was"
+        " empty, so the rows past the first empty row of nu take none, and"
+        " every shape emitted stays trimmed; they add loop work only",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "else len(nu) + 1",
+        "else len(nu) + 2",
+        "equivalent: the extra row lies below the first empty row of nu and"
+        " takes no box, even where it is row k + 1 of G(k, n)",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "(rows - len(before))",
+        "(rows + len(before))",
+        "equivalent: `prev` is read only at the first rows - 1 rows, so"
+        " extra padding zeros are never read",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if cum < m else",
+        "if cum <= m else",
+        "equivalent: at cum = m the cut m - cum is 0 either way",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if top < hi:",
+        "if top <= hi:",
+        "equivalent: at top = hi both set hi to top",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if left > after else 0",
+        "if left >= after else 0",
+        "equivalent: at left = after the floor left - after is 0 either way",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if not partial:",
+        "if False:",
+        "equivalent: once no partial filling is left, every later row and"
+        " the bottom row loop over none; the exit, which runs, saves those"
+        " rows after a dead end",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if not partial:\n                break",
+        "if not partial:\n                pass",
+        "equivalent: the same early exit as the row above, spelled as the"
+        " loop's break; the bottom row then emits nothing",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "max(map(len, x._terms), default=0)",
+        "max(map(len, x._terms), default=1)",
+        "equivalent: with x zero, either order multiplies over an empty"
+        " term list, so the product is zero whichever factor is the content",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "max(map(len, y._terms), default=0)",
+        "max(map(len, y._terms), default=1)",
+        "equivalent: with y zero, either order multiplies over an empty"
+        " term list, so the product is zero whichever factor is the content",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if len(mu) > 1 else k",
+        "if True else k",
+        "equivalent: a single row then runs the zero test lam_k + mu_1 <="
+        " n-k, which the first check of its stage, width - low < m, makes"
+        " anyway; the skip saves a test per term of the paired route's factor",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "len(mu) > 1 else",
+        "len(mu) >= 1 else",
+        "equivalent: mu here is never empty, so this is the row above",
+        equivalent=True,
+    ),
+    Mutant(
+        "varieties",
+        "(3 + e) // 2",
+        "(4 + e) // 2",
+        "equivalent: e is -1 or 1, so 3 + e is even and 4 + e is the odd"
+        " number above it, with the same half",
+        equivalent=True,
+    ),
+    Mutant(
         "sections",
         "if 3 * bits >= 10 * limit:",
         "if 3 * bits > 10 * limit:",

@@ -5,7 +5,7 @@ import pytest
 import alghyp.chern as chern
 import alghyp.grassmann as grassmann
 from alghyp.chern import fano_class, line_count, paired_rearrangement, top_chern_sym
-from alghyp.grassmann import Partition, RingContext, make_class, multiply
+from alghyp.grassmann import ChowElement, Partition, RingContext, make_class, multiply
 from alghyp.sections import check_projective_space
 from tests import chern_oracle
 
@@ -127,6 +127,23 @@ class TestFanoClass:
             fano_class(3, 4)
         with pytest.raises(ValueError):
             fano_class(1, 6)
+        with pytest.raises(ValueError) as err:
+            fano_class(2, 4)
+        assert str(err.value) == "box width 2 hides classes of degree 3; raise N to at least 5"
+
+    @pytest.mark.parametrize(
+        "terms, ok",
+        [
+            ({(3, 1): 1, (2, 2): 1}, True),
+            ({(3, 1): 1}, False),  # the last two-row class is zero
+            ({(2, 2): 1}, False),  # the first two-row class is zero
+            ({(4,): 1, (3, 1): 1, (2, 2): 1}, False),  # the single-row class is not zero
+        ],
+    )
+    def test_certificate_fails_on_a_stubbed_expansion(self, monkeypatch, terms, ok):
+        # no true expansion fails the certificate, so a stub lets each clause fail
+        monkeypatch.setattr(chern, "top_chern_sym", lambda d, N: ChowElement(RingContext(2, N), terms))
+        assert fano_class(3, 6).missing_class_ok is ok
 
     def test_json_shape(self):
         data = fano_class(4, 7).to_json_dict()
@@ -191,6 +208,11 @@ class TestPairedRearrangement:
     def test_rejects_small_box(self):
         with pytest.raises(ValueError, match="N must be >= 4"):
             paired_rearrangement(4, 3)
+
+    def test_smallest_box(self):
+        assert paired_rearrangement(2, 4) == top_chern_sym(2, 4)
+        with pytest.raises(ValueError, match="^N must be >= 4$"):
+            paired_rearrangement(2, 3)
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):

@@ -10,20 +10,20 @@ import pytest
 
 from alghyp import cli, schemas
 from alghyp.cli import (
-    _MAX_SWEEP_ROWS,
-    _MAX_SWEEP_WORK,
     CLIError,
     _attach_signed_values,
     _build_parser,
     _fast_parse,
     _parse_degrees,
     _parse_range,
+    integer,
     main,
     parse_chow,
     parse_partition,
     parse_variety,
 )
 from alghyp.grassmann import ChowElement, Partition, RingContext
+from alghyp.sections import SectionDominationResult
 from alghyp.varieties import grassmannian, product, projective_space
 from tests.instances import catalog_instances
 from tests.test_cli_golden import ALL_COMMANDS, GOLDEN, HELP, REJECTED
@@ -128,28 +128,30 @@ class TestCommands:
         kinds = [line.split()[1] for line in out.strip().splitlines()]
         assert kinds == ["ContainsLines", "OpenGap", "Hyperbolic", "Hyperbolic"]
 
-    # The work budgets, one row each: an argv one past the limit, its
-    # exact refusal, and the argv at the limit.  The refused argv compute
-    # no verdict or certificate; the argv at the limit reach the first one.
+    # The work budgets that the README states, one row each: an argv one
+    # past the limit, its exact refusal, and the argv at the limit.  The
+    # refused argv compute no verdict or certificate; the argv at the limit
+    # reach the first one.  The limits are literals, so that a changed
+    # constant fails here.
     @pytest.mark.parametrize(
         "refused, refusal, at_limit",
         [
             pytest.param(
-                ["sweep", "P(4)", "--range", f"1..{_MAX_SWEEP_ROWS + 1}"],
-                f"bad range '1..{_MAX_SWEEP_ROWS + 1}': more than {_MAX_SWEEP_ROWS} degrees",
-                ["sweep", "P(4)", "--range", f"7..{6 + _MAX_SWEEP_ROWS}"],
+                ["sweep", "P(4)", "--range", "1..10001"],
+                "bad range '1..10001': more than 10000 degrees",
+                ["sweep", "P(4)", "--range", "7..10006"],
                 id="sweep-width",
             ),
             pytest.param(
-                ["sweep", "P(4)", f"--range=-5..{_MAX_SWEEP_ROWS - 5}", "--json"],
-                f"bad range '-5..{_MAX_SWEEP_ROWS - 5}': more than {_MAX_SWEEP_ROWS} degrees",
-                ["sweep", "P(4)", f"--range=-5..{_MAX_SWEEP_ROWS - 6}", "--json"],
+                ["sweep", "P(4)", "--range=-5..9995", "--json"],
+                "bad range '-5..9995': more than 10000 degrees",
+                ["sweep", "P(4)", "--range=-5..9994", "--json"],
                 id="sweep-width-signed",
             ),
             # m = 100 factors admit rows = 100 degrees
             pytest.param(
                 ["sweep", _M100, "--range", "3..103"],
-                f"bad range '3..103': 101 degrees on 100 factors is more than {_MAX_SWEEP_WORK} degrees x factors^2",
+                "bad range '3..103': 101 degrees on 100 factors is more than 1000000 degrees x factors^2",
                 ["sweep", _M100, "--range", "3..102"],
                 id="sweep-work",
             ),
@@ -157,7 +159,7 @@ class TestCommands:
             *(
                 pytest.param(
                     [command, _M1001, "--deg", ",".join(["3"] * 1001)],
-                    f"one degree list on 1001 factors is more than {_MAX_SWEEP_WORK} degrees x factors^2",
+                    "one degree list on 1001 factors is more than 1000000 degrees x factors^2",
                     [command, _M1000, "--deg", ",".join(["3"] * 1000)],
                     id=f"{command}-factors",
                 )
@@ -242,6 +244,14 @@ class TestCommands:
         code, out, err = run_cli(capsys, "info", "Gr(2,5)", "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_section_dom_text_marks_a_failed_check(self, capsys, monkeypatch):
+        failed = SectionDominationResult(n=2, d=2, ok=False, rank=4, target_dim=5)
+        monkeypatch.setattr("alghyp.sections.check_projective_space", lambda n, d: failed)
+        assert run_cli(capsys, "section-dom", "--n", "2", "--d", "2") == (
+            0, "n  d  rank  target  ok\n2  2  4  5  FAIL\n", "")
+        code, out, _ = run_cli(capsys, "section-dom", "--n", "2", "--d", "2", "--json")
+        assert code == 0 and json.loads(out)["all_ok"] is False
 
     def test_grid_refuses_n_and_d(self, capsys):
         for extra in (("--n", "2"), ("--d", "3"), ("--n", "2", "--d", "3")):
@@ -396,6 +406,19 @@ class TestDeterminism:
         )
         assert proc.stdout == out
 
+    def test_cli_module_runs_as_a_script(self, capsys):
+        """`python -m alghyp.cli` runs `main` through the module's own
+        `__main__` guard, and prints what `python -m alghyp` prints."""
+        argv = ["info", "Gr(2,4)"]
+        _, out, _ = run_cli(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "alghyp.cli", *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out and proc.stdout == out
+
 
 class TestJsonWriter:
     """`_json_text` writes the text of `json.dumps(obj, indent=2)`."""
@@ -435,12 +458,13 @@ class TestJsonWriter:
 
         check()
 
-    @pytest.mark.parametrize("leaf", [Fraction(1, 2), 0.5])
+    # a frozenset is iterable, yet not a list or tuple
+    @pytest.mark.parametrize("leaf", [Fraction(1, 2), 0.5, frozenset({1})])
     def test_other_leaves_exit_2(self, capsys, monkeypatch, leaf):
         monkeypatch.setattr(cli.chern, "line_count", lambda n: leaf)
         code, out, err = run_cli(capsys, "line-count", "--n", "4", "--json")
         assert (code, out) == (2, "")
-        assert err.startswith("internal error: TypeError(")
+        assert err == f"internal error: TypeError('Object of type {type(leaf).__name__} is not JSON serializable')\n"
 
 
 # argv at the edges of the root parse: no command, '--', an extra
@@ -627,6 +651,53 @@ def test_only_the_fallback_joins_signed_values(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_a_bare_double_dash_takes_no_value():
+    """Only a flag longer than '--' abbreviates --range or --deg, so the
+    separator '--' leaves a signed value apart."""
+    assert _attach_signed_values(["--", "-5..3"]) == ["--", "-5..3"]
+    assert _attach_signed_values(["--r", "-5..3"]) == ["--r=-5..3"]
+
+
+def test_help_lists_a_command_only_with_its_help_text(capsys):
+    """The root help gives each command a line with its help text; the
+    schubert leaves have none, so the group's help lists them inside
+    {mul,integrate,dual} and gives none a line of its own."""
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert [line.split() for line in out.splitlines() if line.startswith("    info ")] == [
+        ["info", "describe", "a", "variety"]]
+    code, out, err = run_cli(capsys, "schubert", "--help")
+    assert (code, err) == (0, "")
+    words = [line.split()[0] for line in out.splitlines() if line.strip()]
+    assert "{mul,integrate,dual}" in words
+    assert not {"mul", "integrate", "dual"} & set(words)
+
+
+# Refusal texts of the parsers, each compared whole.
+REFUSALS = [
+    pytest.param(lambda: parse_variety("Fl(1,2)"), "Fl takes k1,...,km;n, got '1,2' in 'Fl(1,2)'", id="Fl-without-n"),
+    pytest.param(lambda: parse_variety("Gr(2)"), "Gr takes 2 argument(s), got '2' in 'Gr(2)'", id="Gr-arity"),
+    pytest.param(
+        lambda: parse_chow(2, 4, "s[1] s[1]"),
+        "expected '+' or '-' and a term at position 5 in 's[1] s[1]'",
+        id="chow-missing-sign",
+    ),
+    pytest.param(lambda: parse_chow(2, 4, "+s[1]"), "expected a term at position 0 in '+s[1]'", id="chow-leading-plus"),
+    pytest.param(lambda: _parse_range("3..1"), "bad range '3..1': empty", id="range-empty"),
+    pytest.param(lambda: _parse_range("5"), "bad range '5': expected lo..hi", id="range-one-number"),
+    pytest.param(lambda: _parse_range(""), "bad range '': expected lo..hi", id="range-blank"),
+    pytest.param(lambda: _parse_range(".."), "bad range '..': expected lo..hi", id="range-dots"),
+    pytest.param(lambda: integer("9" * 5000), "integer 99999999... of 5000 digits is too long", id="integer-too-long"),
+]
+
+
+@pytest.mark.parametrize("call, text", REFUSALS)
+def test_refusal_texts(call, text):
+    with pytest.raises(CLIError) as err:
+        call()
+    assert str(err.value) == text
+
+
 # Each entry point takes (box, text); only parse_chow reads the box.
 PARSERS = {
     "parse_variety": lambda box, text: parse_variety(text),
@@ -637,8 +708,9 @@ PARSERS = {
 }
 
 
-# The edges of the variety and class grammars: blanks around tokens,
-# unsigned integers inside, a sign only before a term, '+' never first.
+# The edges of the variety, class and range grammars: blanks around
+# tokens, unsigned integers inside, a sign only before a term, '+' never
+# first, and a range may hold one degree.
 GRAMMAR_EDGES = [
     ("parse_variety", "Fl(4,0)", None),  # Fl needs its ';'
     ("parse_variety", "P(-1)", None),
@@ -652,6 +724,8 @@ GRAMMAR_EDGES = [
     ("parse_chow", "- s[1] + 2*s[]", ChowElement(RingContext(2, 4), {Partition([1]): -1, Partition(): 2})),
     ("parse_partition", "1*s[3,1]", Partition([3, 1])),
     ("parse_partition", "1", Partition()),  # a bare 1 is the unit class
+    ("_parse_range", "3..3", (3, 3)),  # a range of one degree
+    ("_parse_range", "-2..-2", (-2, -2)),
 ]
 
 

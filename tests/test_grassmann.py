@@ -108,6 +108,7 @@ class TestPartition:
             ([1, -1], "negative part in (1, -1)"),
             ([-1, 2], "negative part in (-1, 2)"),
             ([1, 2], "parts not weakly decreasing: (1, 2)"),
+            ([0, 1], "parts not weakly decreasing: (0, 1)"),
             ([2.5], "partition parts must be integers, got [2.5]"),
         ):
             with pytest.raises(ValueError) as err:
@@ -187,6 +188,23 @@ class TestChowElementInput:
                 ChowElement(ctx, terms)
             assert str(err.value) == message
         assert ChowElement(ctx, {Partition([3]): 0}).terms == {}
+
+
+class TestScalarsAndSums:
+    def test_scaling_multiplies_every_coefficient(self):
+        ctx = RingContext(2, 4)
+        x = 2 * (3 * make_class(ctx, (1,)) + make_class(ctx, (2,)))
+        assert x.terms == {(1,): 6, (2,): 2}
+        assert (-1 * x).terms == {(1,): -6, (2,): -2}
+
+    def test_foreign_operands_raise_type_error(self):
+        x = make_class(RingContext(2, 4), (1,))
+        with pytest.raises(TypeError):
+            Fraction(1, 2) * x
+        with pytest.raises(TypeError):
+            2.0 * x
+        with pytest.raises(TypeError, match="^expected ChowElement, got int$"):
+            x + 1
 
 
 class TestTupleStorage:

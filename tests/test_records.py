@@ -5,9 +5,11 @@ arguments in field order; every field differs between the two.  Each
 test runs on every class: equality and hash by the fields, inequality
 to a tuple and to the other classes, read-only fields, the repr, the
 constructor's positional, keyword and default forms, and `copy`,
-`deepcopy` and `pickle`.  `ChowElement` is not a record, but it is a
-field of `FanoClassReport`, and it copies and pickles too.  A last test
-pins that importing the CLI loads neither `dataclasses` nor `inspect`.
+`deepcopy` and `pickle`.  `ChowElement` is a record too, with its own
+hash and repr because its terms are a dict, so it has its own tests of
+the read-only fields and the copies; it is a field of `FanoClassReport`.
+A last test pins that importing the CLI loads neither `dataclasses` nor
+`inspect`.
 """
 
 import copy
@@ -143,7 +145,22 @@ def test_chow_element_copies_and_pickles(protocol):
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x, protocol))):
         assert type(twin) is ChowElement and twin == x and hash(twin) == hash(x)
         assert twin.sorted_terms() == x.sorted_terms() and twin.context == x.context
+        assert twin._terms is not x._terms  # the constructor copies the dict
     assert copy.deepcopy(ChowElement(G27)) == ChowElement(G27)
+
+
+@pytest.mark.parametrize("name", ["context", "_terms"])
+@pytest.mark.parametrize("verb", ["assign to", "delete"])
+def test_chow_element_fields_cannot_be_assigned_or_deleted(verb, name):
+    x = 3 * make_class(G27, (2, 1))
+    with pytest.raises(AttributeError, match=f"^cannot {verb} field '{name}'$"):
+        if verb == "delete":
+            delattr(x, name)
+        else:
+            setattr(x, name, getattr(make_class(RingContext(2, 5), (1,)), name))
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x.context is G27 and x == 3 * make_class(G27, (2, 1))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

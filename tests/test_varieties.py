@@ -10,6 +10,7 @@ from alghyp.varieties import (
     LOW_DIMENSION,
     OPEN_GAP,
     _COUNTEREXAMPLE_TABLE,
+    _FLAG_DIM_NOTE,
     VarietyDescriptor,
     classify,
     fano_lines_dimension,
@@ -90,6 +91,8 @@ class TestConstructors:
             flag((2, 2), 5)
         with pytest.raises(ValueError):
             flag((1, 5), 5)
+        with pytest.raises(ValueError, match="^Fl: need at least one subspace dimension$"):
+            flag((), 5)
 
     def test_flag_rejects_non_integers(self):
         for ks in ((1.7, 2.2), (1, Fraction(5, 2)), ("1", 2)):
@@ -120,8 +123,14 @@ class TestConstructors:
                     assert flag(ks, n).D == flag_dimension_oracle(ks, n), (ks, n)
 
     def test_flag_dimension_discrepancy_flagged(self):
-        v = flag((1, 2), 4)
-        assert any("dimension" in note for note in v.notes)
+        # every flag: the stated sum exceeds D by the sum of (k_(i+1) - k_i)^2
+        # over 0 = k_0 < k_1 < ... < k_(m+1) = n, which is positive
+        for n in range(2, 9):
+            for m in range(1, n):
+                for ks in itertools.combinations(range(1, n), m):
+                    v, ext = flag(ks, n), (0, *ks, n)
+                    gap = sum((b - a) ** 2 for a, b in zip(ext, ext[1:]))
+                    assert v.notes[0] == _FLAG_DIM_NOTE.format(stated=v.D + gap, used=v.D), (ks, n)
 
     def test_product(self):
         v = product(grassmannian(2, 4), grassmannian(1, 3))
@@ -133,7 +142,7 @@ class TestConstructors:
         assert product(single) is single
         nested = product(pp, projective_space(1))
         assert [f.name for f in nested.factors] == ["P(2)", "P(2)", "P(1)"]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^product needs at least one factor$"):
             product()
 
     def test_descriptor_invariants(self):
