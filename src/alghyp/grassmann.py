@@ -3,16 +3,20 @@
 Classes are indexed by partitions inside the k x (n-k) box.  `_checked`
 is the one partition validator and yields a trimmed `Partition`, an int
 tuple; `ChowElement` keys its one term dict by them, and `terms` is a
-read-only view of that dict.  Each content term of a product takes one
-of two routes: a single column 1^p (sigma_1 included) is one vertical
-strip, and any other term one Littlewood-Richardson stage per row, kept
-while the reverse reading word is a lattice word, with partial fillings
-merged by their shape and the shape before the last letter; a term of
-two or more rows first drops the terms whose product with it is zero.
-A single row is one stage, which is Pieri's rule.  In both kernels the
-bottom row takes every box left, with no loop over counts, and the strip
-and the last stage of every content term add their shapes, scaled by
-its coefficient, straight into the product's one dict.  There are no
+read-only view of that dict.  Each pair of a content term mu and a term
+lam of the other factor takes one of three routes.  A single column 1^p
+(sigma_1 included) is one vertical strip.  Any other mu first drops the
+terms whose product with it is zero; then, for mu of two or more rows and
+lam near the top, with e = k(n-k) - |lam| - |mu| < |mu|, the product is
+one Littlewood-Richardson count over the e boxes of the skew shape
+lam^vee / mu (the duality theorem), and otherwise mu is one
+Littlewood-Richardson stage per row, kept while the reverse reading word
+is a lattice word, with partial fillings merged by their shape and the
+shape before the last letter.  A single row is one stage, which is
+Pieri's rule.  In the strip and the stages the bottom row takes every
+box left, with no loop over counts, and every route adds its shapes,
+scaled by the coefficients, straight into the product's one dict.  The
+route changes only the cost, never the product.  There are no
 signs and no cache, and every product term passes the partition,
 coefficient and box checks of `ChowElement`.  An independent
 Schur-polynomial oracle lives in the tests.  All coefficients are Python
@@ -23,6 +27,7 @@ values are immutable, and every operation is a pure function.
 from __future__ import annotations
 
 import operator
+from itertools import zip_longest
 from types import MappingProxyType
 
 
@@ -369,24 +374,81 @@ def _lr_stage(states: dict, m: int, k: int, width: int, out: dict | None = None)
     return out
 
 
+def _skew_fillings(outer, inner, k, width, out: dict, scale: int) -> None:
+    """Add to `out`, times `scale`, the Littlewood-Richardson fillings of
+    the skew shape outer/inner, each keyed by the box complement of its
+    content.
+
+    Rows are filled top down, each a weakly increasing run of letters
+    written as its end columns: `ends[j]` is where letters < j stop, and
+    ends[0] is the row's start.  Letter j >= 1 takes at most
+    counts[j-1] - counts[j] boxes (the counts of the rows above), so the
+    reverse reading word stays a lattice word, and the letters through j
+    end at or before the column where the row above ends its letters
+    < j, so every column strictly increases.  A letter leaves at least as
+    many boxes as the later letters can take, and the new letter
+    len(counts) takes every box left.  An empty row is skipped: the rows
+    below it end at or before its start, which is at or before the start
+    of every row above, so the column test holds by itself.  Partial
+    fillings are merged by their letter counts and the end columns of
+    their last row, so the work grows with the boxes of the skew shape,
+    not with those of inner.
+    """
+    states = {((), (width,)): scale}  # (letter counts, row above's end columns)
+    for lo, hi in zip_longest(inner, outer, fillvalue=0):
+        if lo == hi:
+            continue
+        merged = {}
+        get = merged.get
+        for (counts, above), c in states.items():
+            room = (hi,) + tuple(map(operator.sub, counts, counts[1:] + (0,)))
+            partial = [(lo,)]
+            for j in range(len(counts)):
+                floor = hi - sum(room[j + 1:])
+                nxt = []
+                for ends in partial:
+                    e = ends[-1]
+                    for end in range(max(e, floor), min(hi, above[j], e + room[j]) + 1):
+                        nxt.append(ends + (end,))
+                partial = nxt
+            for ends in partial:
+                full = ends + (hi,)  # the new letter takes at most room[-1], by the last floor
+                grown = tuple(map(operator.add, counts + (0,), map(operator.sub, full[1:], ends)))
+                key = (grown, full) if grown[-1] else (grown[:-1], ends)
+                merged[key] = get(key, 0) + c
+        states = merged
+    get = out.get
+    for (counts, _), c in states.items():
+        # the box complement of the content; a full letter leaves a zero row
+        mu = (width,) * (k - len(counts)) + tuple([width - t for t in reversed(counts) if t < width])
+        out[mu] = get(mu, 0) + c
+
+
 def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     """Chow ring product by the Littlewood-Richardson rule.
 
     The content is the factor whose longest term has fewer rows.  Each of
-    its terms mu, scaled by its coefficient, is applied to every term of
-    the other factor at once, by one of two routes: a single column 1^p
-    is one vertical strip, and any other mu one `_lr_stage` per row, where
-    row mu_i is a horizontal strip of the letter i kept only while the
-    reverse reading word is a lattice word (a single row is Pieri's rule).
-    Before its stages, a mu of two or more rows drops each term lam with
-    some lam_i + mu_(k+1-i) > n-k, whose product with it is zero (the
-    duality theorem; Fulton, Young Tableaux, ch. 9); a single row meets
-    the same test in the stage's first check.  The unit class s[] leaves
-    the other factor as it is.  The strip and the last stage of every
-    content term add their shapes, already scaled, into one dict, so the
-    product is built in one pass.  The kernels work on int tuples and drop
-    shapes that leave the box; the sum can cancel, and `ChowElement`
-    checks every term and drops zeros.
+    its terms mu, scaled by its coefficient, is applied to every term lam
+    of the other factor by one of three routes.  A single column 1^p is
+    one vertical strip.  Any other mu drops each lam with some
+    lam_i + mu_(k+1-i) > n-k, that is, with mu not inside lam^vee, whose
+    product with it is zero (the duality theorem; Fulton, Young Tableaux,
+    ch. 9); a single row meets the same test in its stage's first check.
+    A mu of two or more rows then sends each lam with e < |mu|, where
+    e = k(n-k) - |lam| - |mu| is the box count of the skew shape
+    lam^vee / mu, through `_skew_fillings`: s[lam] s[mu] is the sum over
+    tau of c^(lam^vee)_(mu, tau) s[tau^vee] (Fulton, Young Tableaux,
+    section 9.4), one Littlewood-Richardson count over e boxes instead of
+    |mu|.  A single row skips the zero test that the skew shape needs, so
+    it keeps its stage.  The other terms take one `_lr_stage` per row,
+    where row mu_i is a horizontal strip of the letter i kept only while
+    the reverse reading word is a lattice word (a single row is Pieri's
+    rule).  The route changes only the cost, never the product.  The
+    unit class s[] leaves the other factor as it is.  Every route adds
+    its shapes, already scaled, into one dict, so the product is built in
+    one pass.  The kernels work on int tuples and keep every shape inside
+    the box; the sum can cancel, and `ChowElement` checks every term and
+    drops zeros.
     """
     x._check_context(y)
     ctx = x.context
@@ -402,14 +464,23 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
                 out[lam] = get(lam, 0) + cy * c
         elif mu[0] == 1:
             _vertical_strips(base, len(mu), k, width, out, cy)
+        elif len(mu) == 1:
+            # a single row meets the zero test in its stage's first check; it
+            # keeps its stage, since the skew shape needs that test first
+            _lr_stage({(lam, None): cy * c for lam, c in base}, mu[0], k, width, out)
         else:
-            # s[lam] s[mu] = 0 unless lam_i + mu_(k+1-i) <= n-k for every i;
-            # a single row skips the test, which its first stage makes anyway
-            start = k - len(mu) if len(mu) > 1 else k
-            flipped, states = mu[::-1], {}
+            # s[lam] s[mu] = 0 unless lam_i + mu_(k+1-i) <= n-k for every i
+            start, flipped, states = k - len(mu), mu[::-1], {}
+            # a term of more than `cut` boxes leaves lam^vee / mu fewer boxes
+            # than mu has
+            cut = ctx.dim - 2 * sum(mu)
             for lam, c in base:
                 if len(lam) <= start or max(map(operator.add, lam[start:], flipped)) <= width:
-                    states[lam, None] = cy * c
+                    if sum(lam) <= cut:
+                        states[lam, None] = cy * c
+                    else:
+                        dual = (width,) * (k - len(lam)) + tuple([width - p for p in reversed(lam)])
+                        _skew_fillings(dual, mu, k, width, out, cy * c)
             if not states:
                 continue
             for m in mu[:-1]:

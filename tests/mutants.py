@@ -2,7 +2,9 @@
 
 Each row names a module of `src/alghyp`, a source text that occurs in it
 exactly once, its replacement, and why the suite must fail on the mutant,
-or why the mutant is equivalent (behaves like the code in every case).
+or why the mutant is equivalent (behaves like the code in every case).  A
+row that the suite must fail may name, as `test`, the pytest node id of
+the test its reason cites.
 Run it from the repository root:
 
     python -m tests.mutants
@@ -10,13 +12,16 @@ Run it from the repository root:
 It first runs `pytest -x -q tests` on an unedited copy of `src/`, which
 must pass and must be the copy that the tests import.  Then, for each row,
 it copies `src/` to a temporary directory, applies the replacement, and
-runs the same command with that copy alone on `PYTHONPATH`.  It prints
-each row's outcome, with the first test that failed, and exits 1 if a row
-not marked equivalent survives, or if an equivalent row is killed (its
-reason is then wrong); it exits 2 if the unedited copy fails.  A tier-1 test
-checks only that each source text occurs exactly once, so the table fails
-fast when the code moves.  Add a row here for each mutation check a change
-runs.
+runs the same command with that copy alone on `PYTHONPATH`; for a row that
+names a test, it also runs that node alone on the mutant.  It prints each
+row's outcome, with the first test that failed, and exits 1 if a row not
+marked equivalent survives, if the test a killed row names does not fail
+on its mutant, or if an equivalent row is killed (a reason is then
+wrong); it exits 2 if the unedited copy fails.  Tier-1 tests check only
+that each source text occurs exactly once and that each named test
+exists, so the table fails fast when the code moves.  Add a row here for
+each mutation check a change runs; `python -m tests.sweep` finds the
+candidates.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ class Mutant(NamedTuple):
     replacement: str
     why: str
     equivalent: bool = False
+    test: str | None = None  # the node id of the test that `why` cites
 
 
 MUTANTS = (
@@ -105,6 +111,40 @@ MUTANTS = (
         " reaches the bottom row with two or more boxes left; that row"
         " places one box, so it emits shapes a box short that the Schur"
         " oracle does not have",
+    ),
+    Mutant(
+        "grassmann",
+        "floor = hi - sum(room[j + 1:])",
+        "floor = lo",
+        "without the floor the letters before the new one may leave it more"
+        " boxes than the letter before it has, which breaks the lattice word;"
+        " the skew route then fills a different dict from the stages",
+        test="tests/test_grassmann.py::TestSkewRoute::test_both_routes_fill_the_same_dict",
+    ),
+    Mutant(
+        "grassmann",
+        "min(hi, above[j], e + room[j])",
+        "min(hi, e + room[j])",
+        "without the column test a letter may sit under an equal or larger"
+        " letter of the row above; the skew route then fills a different"
+        " dict from the stages",
+        test="tests/test_grassmann.py::TestSkewRoute::test_both_routes_fill_the_same_dict",
+    ),
+    Mutant(
+        "grassmann",
+        "cut = ctx.dim - 2 * sum(mu)",
+        "cut = ctx.dim - 2 * sum(mu) - 1",
+        "the pairs with e = |mu| then take the skew route too; every product"
+        " stays the same, but the route no longer follows the box count",
+        test="tests/test_grassmann.py::TestSkewRoute::test_route_is_chosen_by_box_count",
+    ),
+    Mutant(
+        "grassmann",
+        "if lo == hi:\n            continue",
+        "if lo == hi:\n            pass",
+        "an empty row then runs every letter once per state; every product"
+        " stays the same, but the pinned fillings of `_skew_fillings` grow",
+        test="tests/test_partial_fillings.py::test_partial_fillings_are_pinned",
     ),
     Mutant(
         "chern",
@@ -174,11 +214,23 @@ MUTANTS = (
     ),
     Mutant(
         "grassmann",
-        "start = k - len(mu) if",
-        "start = k - len(mu) + 1 if",
+        "start, flipped, states = k - len(mu),",
+        "start, flipped, states = k - len(mu) + 1,",
         "row i of the other factor pairs with row k+1-i of mu; pairing row"
-        " i+1 instead is a weaker test, so no product changes, but the"
-        " G(8,18) zero pair runs its stages",
+        " i+1 instead is a weaker test, which sends pairs with mu outside"
+        " lam^vee, whose skew shape does not exist, to the skew route near"
+        " the top; the route test sees the calls, and products gain terms",
+        test="tests/test_grassmann.py::TestSkewRoute::test_route_is_chosen_by_box_count",
+    ),
+    Mutant(
+        "grassmann",
+        "elif len(mu) == 1:",
+        "elif False:",
+        "a single row then runs the zero test lam_k + mu_1 <= n-k, which"
+        " the first check of its stage makes anyway, and near the top the"
+        " skew route; every product stays the same, but the route test sees"
+        " single rows reach `_skew_fillings`",
+        test="tests/test_grassmann.py::TestSkewRoute::test_route_is_chosen_by_box_count",
     ),
     Mutant(
         "varieties",
@@ -251,6 +303,7 @@ MUTANTS = (
         "an element takes read-only fields, equality and copies from the"
         " record base; without it two equal elements differ, and a field"
         " can be assigned or deleted",
+        test="tests/test_records.py::test_chow_element_fields_cannot_be_assigned_or_deleted",
     ),
     Mutant(
         "grassmann",
@@ -400,6 +453,7 @@ MUTANTS = (
         "every flag's note quotes the stated sum, which exceeds D by the sum"
         " of the squared steps of 0 < k_1 < ... < k_m < n; the goldens and"
         " the note check over every flag with n <= 8 read it",
+        test="tests/test_varieties.py::TestConstructors::test_flag_dimension_discrepancy_flagged",
     ),
     Mutant(
         "chern",
@@ -555,22 +609,6 @@ MUTANTS = (
         equivalent=True,
     ),
     Mutant(
-        "grassmann",
-        "if len(mu) > 1 else k",
-        "if True else k",
-        "equivalent: a single row then runs the zero test lam_k + mu_1 <="
-        " n-k, which the first check of its stage, width - low < m, makes"
-        " anyway; the skip saves a test per term of the paired route's factor",
-        equivalent=True,
-    ),
-    Mutant(
-        "grassmann",
-        "len(mu) > 1 else",
-        "len(mu) >= 1 else",
-        "equivalent: mu here is never empty, so this is the row above",
-        equivalent=True,
-    ),
-    Mutant(
         "varieties",
         "(3 + e) // 2",
         "(4 + e) // 2",
@@ -590,10 +628,11 @@ MUTANTS = (
 )
 
 
-def _python(src: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
+def _python(src: pathlib.Path, *args: str, **run) -> subprocess.CompletedProcess:
+    """Run Python with `src` alone on `PYTHONPATH`; `run` goes to `subprocess.run`."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, **run
     )
 
 
@@ -603,8 +642,10 @@ def _copy(tmp: str) -> pathlib.Path:
     return src
 
 
-def _killer(mutant: Mutant) -> str | None:
-    """The first test that fails on `mutant`, or None if it survives."""
+def _killer(mutant: Mutant) -> tuple[str | None, str | None]:
+    """The first test that fails on `mutant`, or None if it survives; and,
+    for a killed row that names a test, a note if that test alone does
+    not fail on the mutant."""
     with tempfile.TemporaryDirectory() as tmp:
         src = _copy(tmp)
         path = src / "alghyp" / f"{mutant.module}.py"
@@ -614,9 +655,15 @@ def _killer(mutant: Mutant) -> str | None:
         path.write_text(text.replace(mutant.source, mutant.replacement), encoding="utf-8")
         run = _python(src, *PYTEST)
         if run.returncode == 0:
-            return None
+            return None, None
         failed = [line for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-        return failed[0].split(" - ")[0] if failed else f"pytest exit {run.returncode}"
+        killer = failed[0].split(" - ")[0] if failed else f"pytest exit {run.returncode}"
+        if mutant.test is None:
+            return killer, None
+        # pytest exits 1 when a collected test fails; 0 means that it
+        # passed, and 4 or 5 that the node id names no test
+        cited = _python(src, *PYTEST[:-1], mutant.test).returncode
+        return killer, None if cited == 1 else f"{mutant.test} alone exits {cited}, not 1"
 
 
 def main() -> int:
@@ -632,15 +679,17 @@ def main() -> int:
     wrong = 0
     for mutant in MUTANTS:
         start = time.perf_counter()
-        killer = _killer(mutant)
+        killer, cited = _killer(mutant)
         verdict = "survived" if killer is None else "killed"
-        if (killer is None) != mutant.equivalent:
+        if (killer is None) != mutant.equivalent or cited:
             wrong += 1
             verdict += " (UNEXPECTED)"
         took = time.perf_counter() - start
         print(f"{verdict} in {took:.1f} s: {mutant.module}: {mutant.source!r} -> {mutant.replacement!r}")
         if killer is not None:
             print(f"    by {killer}")
+        if cited:
+            print(f"    but {cited}")
     print(f"{len(MUTANTS)} mutants, {wrong} unexpected")
     return 1 if wrong else 0
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -365,6 +367,37 @@ def counting(monkeypatch, name):
     return calls
 
 
+class SkewStates:
+    """Records, while the `with` block runs, the number of merged states
+    that each row with boxes leaves in `_skew_fillings`: the size of
+    `merged` when the line `states = merged` runs."""
+
+    def __init__(self):
+        self.code = grassmann._skew_fillings.__code__
+        lines, start = inspect.getsourcelines(self.code)
+        self.line = start + [line.strip() for line in lines].index("states = merged")
+        self.sizes = []
+
+    def __enter__(self):
+        self._outer = sys.gettrace()
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(self._outer)
+
+    def _call(self, frame, event, arg):
+        if frame.f_code is not self.code:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line" and frame.f_lineno == self.line:
+                self.sizes.append(len(frame.f_locals["merged"]))
+            return line
+
+        return line
+
+
 class TestProductWork:
     """Deterministic work counts of the product algorithm (no timing)."""
 
@@ -406,15 +439,21 @@ class TestProductWork:
 
     def test_many_row_pair_state_bound(self, monkeypatch):
         # sigma_{nu^c} * sigma_mu with l(mu) = 9 in G(9,18): the Jacobi-Trudi
-        # determinant of mu has 9! = 362880 permutation terms; the LR rule
-        # takes one stage per row of mu and merges equal fillings
+        # determinant of mu has 9! = 362880 permutation terms, and the LR
+        # rule one stage per row of mu (85 merged states).  The skew shape
+        # lam^vee / mu = nu / mu has e = |nu| - |mu| = 4 < 15 = |mu| boxes,
+        # so the product is one `_skew_fillings` call and no stage; its
+        # rows with boxes merge 1, 2, 4 and 4 states
         ctx = RingContext(9, 18)
         lam = complement(ctx, Partition([4, 3, 3, 2, 2, 2, 1, 1, 1]))
         mu = Partition([3, 3, 2, 2, 1, 1, 1, 1, 1])
+        merged = SkewStates()
         stages = counting(monkeypatch, "_lr_stage")
-        prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
-        assert len(stages) == len(mu)
-        assert sum(len(out) for _, out in stages) <= 85  # merged states
+        skews = counting(monkeypatch, "_skew_fillings")
+        with merged:
+            prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
+        assert (len(stages), len(skews)) == (0, 1)
+        assert merged.sizes == [1, 2, 4, 4]
         assert {sum(nu.parts) for nu in prod.terms} == {sum(lam.parts) + sum(mu.parts)}
         assert all(c > 0 for c in prod.terms.values())
 
@@ -727,3 +766,141 @@ class TestRingProperties:
                     assert pairing == (1 if mu == comp else 0), (k, n, lam, mu)
                     checked += 1
         assert checked >= 1000
+
+
+def both_routes(ctx, x, mu, scale):
+    """`x` times s[mu], times `scale`, by each route alone, as the dict
+    that the route fills: `_skew_fillings` over lam^vee / mu for every term
+    lam of x with mu inside lam^vee (the other terms pair with mu to zero),
+    and `_lr_stage` once per row of mu on every term of x."""
+    k, width = ctx.k, ctx.width
+    skew, stages = {}, {}
+    for lam, c in x.terms.items():
+        dual = complement(ctx, lam)
+        if len(mu) <= len(dual) and all(map(operator.le, mu, dual)):
+            grassmann._skew_fillings(tuple(dual), tuple(mu), k, width, skew, scale * c)
+    states = {(tuple(lam), None): scale * c for lam, c in x.terms.items()}
+    if not mu:
+        stages = {lam: c for (lam, _), c in states.items()}
+    else:
+        for m in mu[:-1]:
+            states = grassmann._lr_stage(states, m, k, width)
+        grassmann._lr_stage(states, mu[-1], k, width, stages)
+    return skew, stages
+
+
+def strip_columns(ctx, lam):
+    """lam less its full columns, and their number a: in k variables
+    s_(lam + a^k) = e_k^a s_lam."""
+    a = lam[-1] if len(lam) == ctx.k else 0
+    return Partition([p - a for p in lam]), a
+
+
+def stripped_oracle(ctx, lam, mu):
+    """s[lam] s[mu] by the Schur oracle, run on the pair less its full
+    columns: the oracle product in G(k, n - a - b), with every row of each
+    shape raised by a + b, where a and b are the full columns of lam and
+    mu.  The oracle's cost grows with the degree in k variables, so this
+    reaches pairs near the top of G(8, 16)."""
+    (lam2, a), (mu2, b) = strip_columns(ctx, lam), strip_columns(ctx, mu)
+    small = RingContext(ctx.k, ctx.n - a - b)
+    prod = schur_oracle_multiply(make_class(small, lam2), make_class(small, mu2))
+    pad = lambda nu: nu.parts + (0,) * (ctx.k - len(nu))  # noqa: E731
+    return ChowElement(ctx, {tuple(p + a + b for p in pad(nu)): c for nu, c in prod.terms.items()})
+
+
+def takes_skew_route(ctx, lam, mu):
+    """Whether `multiply` sends the pair to `_skew_fillings`: mu of two or
+    more rows and not a column, mu inside lam^vee, and
+    e = k(n-k) - |lam| - |mu| < |mu|."""
+    dual = complement(ctx, lam)
+    inside = len(mu) <= len(dual) and all(map(operator.le, mu, dual))
+    return len(mu) > 1 and mu[0] > 1 and inside and ctx.dim - sum(lam) - sum(mu) < sum(mu)
+
+
+class TestSkewRoute:
+    """A pair near the top goes through one Littlewood-Richardson count
+    over the skew shape lam^vee / mu; the route changes only the cost."""
+
+    def test_both_routes_fill_the_same_dict(self):
+        # every pair of classes in G(k, k+w), k, w <= 4, the unit and the
+        # zero pairs included, and seeded inhomogeneous signed elements
+        # times every class: each route alone fills the same dict
+        rng = random.Random(3401)
+        pairs = zero = inhomogeneous = 0
+        for k in range(1, 5):
+            for w in range(1, 5):
+                ctx = RingContext(k, k + w)
+                pool = all_box_partitions(k, w)
+                elements = [make_class(ctx, lam) for lam in pool]
+                for _ in range(4):
+                    terms = {rng.choice(pool): rng.choice((-3, -1, 2, 5)) for _ in range(4)}
+                    elements.append(ChowElement(ctx, terms))
+                for x in elements:
+                    for mu in pool:
+                        skew, stages = both_routes(ctx, x, mu, -2)
+                        assert skew == stages, (k, w, x, mu)
+                        pairs += 1
+                        zero += not stages
+                        inhomogeneous += len({sum(lam) for lam in x.terms}) > 1
+        assert pairs == 9508 and zero >= 2000 and inhomogeneous >= 900, (pairs, zero, inhomogeneous)
+
+    def test_route_is_chosen_by_box_count(self, monkeypatch):
+        # every pair of classes in G(k, k+w), k, w <= 4: a nonzero pair
+        # with mu of two or more rows, not a column, takes `_skew_fillings`
+        # exactly when e < |mu|; a column takes one strip, the unit no
+        # kernel, and every other pair its stages
+        for k in range(1, 5):
+            for w in range(1, 5):
+                ctx = RingContext(k, k + w)
+                pool = all_box_partitions(k, w)
+                for lam in pool:
+                    for mu in pool:
+                        if len(mu) > len(lam) or not lam:
+                            continue  # lam is the other factor, not the content
+                        skews = counting(monkeypatch, "_skew_fillings")
+                        stages = counting(monkeypatch, "_lr_stage")
+                        multiply(make_class(ctx, lam), make_class(ctx, mu))
+                        monkeypatch.undo()
+                        skew = takes_skew_route(ctx, lam, mu)
+                        assert len(skews) == skew, (k, w, lam, mu)
+                        if skew or not mu or mu[0] == 1:
+                            assert stages == [], (k, w, lam, mu)
+
+    def test_near_top_pairs_match_oracle(self, monkeypatch):
+        # seeded pairs (nu^c, mu) in G(k, n) up to G(8, 16): mu of two or
+        # more rows lies inside nu, which has one to four more boxes, so
+        # the skew shape nu / mu has 0 < e < |mu| boxes; kept only where
+        # the oracle's stripped degree is small (G(8, 16) reaches l(mu) = 8
+        # and |mu| up to 44)
+        rng = random.Random(3402)
+        checked = 0
+        for k in range(2, 9):
+            for n in sorted({k + 3, (k + 3 + 16) // 2, 16}):
+                ctx, w = RingContext(k, n), n - k
+                found = 0
+                for _ in range(4000):
+                    ell = rng.randint(2, k)
+                    low = rng.randint(1, w - 1)
+                    mu = sorted((rng.randint(low, low + 1) for _ in range(ell)), reverse=True)
+                    nu = mu + [0] * (k - ell)
+                    for _ in range(rng.randint(0, 4)):
+                        rows = [i for i in range(k) if nu[i] < w and (i == 0 or nu[i] < nu[i - 1])]
+                        if rows:
+                            nu[rng.choice(rows)] += 1
+                    lam, mu = complement(ctx, Partition(nu)), Partition(mu)
+                    (lam2, a), (mu2, b) = strip_columns(ctx, lam), strip_columns(ctx, mu)
+                    if len(mu) > len(lam) or a + b >= w or sum(lam2) + sum(mu2) > 14 - k:
+                        continue  # mu is not the content, or the oracle's degree is high
+                    if ctx.dim - sum(lam) - sum(mu) == 0 or not takes_skew_route(ctx, lam, mu):
+                        continue  # e = 0 gives the point class or zero
+                    skews = counting(monkeypatch, "_skew_fillings")
+                    prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
+                    monkeypatch.undo()
+                    assert len(skews) == 1
+                    assert prod.terms and prod == stripped_oracle(ctx, lam, mu), (k, n, lam, mu)
+                    found += 1
+                    if found == 4:
+                        break
+                checked += found
+        assert checked == 84, checked  # four in each of the 21 boxes

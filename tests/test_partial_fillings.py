@@ -1,20 +1,24 @@
 """The partial fillings of the ring kernels, counted and pinned exactly.
 
-`_vertical_strips` and `_lr_stage` grow each strip row by row from a
-list `partial` of partial fillings, each a (grown shape, boxes left)
-pair.  A state of `_lr_stage` is a shape with the shape before its last
-letter, so a row's lattice cut is read off the state, not the filling.
-A looser pruning bound only adds fillings that lead nowhere: every
-product stays the same, and only the time grows.  So these tests count
-the fillings, with a `sys.settrace` line counter that lives only here:
-one execution of the first body line of any of a kernel's
-`for ... in partial:` loops (the rows above the bottom one, then the
-bottom row) is one filling.  A filling is a dead end when its body
-neither keeps a longer filling (`nxt.append`) nor emits a shape
-(`out[...]`); every loop must have such a line.  The lines are found by
-their source text, so the counts do not depend on line numbers.
+`_vertical_strips`, `_lr_stage` and `_skew_fillings` grow each filling
+row by row from a list `partial` of partial fillings: a (grown shape,
+boxes left) pair in the first two, and the end columns of a row's
+letters so far in `_skew_fillings`.  A state of `_lr_stage` is a shape
+with the shape before its last letter, so a row's lattice cut is read
+off the state, not the filling; a state of `_skew_fillings` is the
+letter counts with the end columns of the last row.  A looser pruning
+bound only adds fillings that lead nowhere: every product stays the
+same, and only the time grows.  So these tests count the fillings, with
+a `sys.settrace` line counter that lives only here: one execution of
+the first body line of any of a kernel's `for ... in partial:` loops
+(the rows above the bottom one, then the bottom row; the letters below
+the new one, then the new letter) is one filling.  A filling is a dead
+end when its body neither keeps a longer filling (`nxt.append`), nor
+emits a shape (`out[...]`), nor merges a finished row into the next
+row's states (`merged[...]`); every loop must have such a line.  The
+lines are found by their source text, so the counts do not depend on
+line numbers.
 """
-
 import inspect
 import random
 import sys
@@ -22,7 +26,7 @@ import sys
 import alghyp.grassmann as grassmann
 from alghyp.grassmann import ChowElement, RingContext, make_class, multiply
 
-KERNELS = ("_vertical_strips", "_lr_stage")
+KERNELS = ("_vertical_strips", "_lr_stage", "_skew_fillings")
 
 
 def _is_code(text):
@@ -45,7 +49,7 @@ def _loop_lines(func):
             if _is_code(text[i]) and len(lines[i]) - len(lines[i].lstrip()) <= indent:
                 break
             body.append(i)
-        kept = {start + i for i in body if text[i].startswith(("nxt.append(", "out["))}
+        kept = {start + i for i in body if text[i].startswith(("nxt.append(", "out[", "merged["))}
         assert kept, (func.__name__, head)
         firsts.add(start + first)
         productive |= kept
@@ -129,16 +133,20 @@ def test_partial_fillings_are_pinned():
         for x, y in grid():
             multiply(x, y)
     # each `_lr_stage` pin is the sum of two: the single rows (4614
-    # fillings, 0 dead ends) and the other terms (4744 and 24), which meet
+    # fillings, 0 dead ends) and the other terms (1494 and 4), which meet
     # only the terms of the other factor whose product with them is not
-    # zero.  A bottom row whose lattice cut is positive tries no filling:
-    # it would need boxes below the bottom row, so all 18 such fillings
-    # were dead ends (9376 and 42 when the bottom row was a loop over
-    # counts).  Both kernels have a second `for ... in partial:` loop, the
-    # bottom row, and the counter counts the fillings of every loop
-    assert counter.fillings == {"_vertical_strips": 3684, "_lr_stage": 9358}
+    # zero and that leave the skew shape lam^vee / mu as many boxes as mu
+    # has or more; the others take `_skew_fillings` (941 fillings, 0 dead
+    # ends).  Before the skew route the other terms took 4744 `_lr_stage`
+    # fillings with 24 dead ends (9358 and 24 in all).  A bottom row whose
+    # lattice cut is positive tries no filling: it would need boxes below
+    # the bottom row, so all 18 such fillings were dead ends (9376 and 42
+    # when the bottom row was a loop over counts).  Every kernel has a
+    # second `for ... in partial:` loop, the bottom row or the new letter,
+    # and the counter counts the fillings of every loop
+    assert counter.fillings == {"_vertical_strips": 3684, "_lr_stage": 6108, "_skew_fillings": 941}
     # a tighter bound may lower these
-    assert counter.dead_ends == {"_vertical_strips": 298, "_lr_stage": 24}
+    assert counter.dead_ends == {"_vertical_strips": 298, "_lr_stage": 4, "_skew_fillings": 0}
 
 
 def test_pieri_row_rule_has_no_dead_end():
@@ -159,5 +167,18 @@ def test_counter_counts_one_filling_per_loop_pass():
     with FillingCounter() as counter:
         product = multiply(make_class(ctx, (2, 1)), make_class(ctx, (1,)))
     assert set(product._terms) == {(3, 1), (2, 2), (2, 1, 1)}
-    assert counter.fillings == {"_vertical_strips": 3, "_lr_stage": 0}
+    assert counter.fillings == {"_vertical_strips": 3, "_lr_stage": 0, "_skew_fillings": 0}
+    assert counter.dead_ends == dict.fromkeys(KERNELS, 0)
+
+
+def test_counter_counts_skew_fillings_by_row_and_letter():
+    # s[2,1] s[2,1] in G(2,6) has e = 8 - 3 - 3 = 2 < 3 boxes in
+    # lam^vee / mu = (3,2) / (2,1): row 1 takes the letter 1 (one filling
+    # of the new-letter loop); in row 2 letter 1 may take 0 or 1 boxes
+    # (one filling of the letter loop), and the new letter 2 the rest (two)
+    ctx = RingContext(2, 6)
+    with FillingCounter() as counter:
+        product = multiply(make_class(ctx, (2, 1)), make_class(ctx, (2, 1)))
+    assert product._terms == {(4, 2): 1, (3, 3): 1}
+    assert counter.fillings == {"_vertical_strips": 0, "_lr_stage": 0, "_skew_fillings": 4}
     assert counter.dead_ends == dict.fromkeys(KERNELS, 0)
