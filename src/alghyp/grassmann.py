@@ -3,18 +3,23 @@
 Classes are indexed by partitions inside the k x (n-k) box.  `_checked`
 is the one partition validator and yields a trimmed `Partition`, an int
 tuple; `ChowElement` keys its one term dict by them, and `terms` is a
-read-only view of that dict.  Each pair of a content term mu and a term
-lam of the other factor takes one of three routes.  A single column 1^p
-(sigma_1 included) is one vertical strip.  Any other mu first drops the
-terms whose product with it is zero; then, for mu of two or more rows and
-lam near the top, with e = k(n-k) - |lam| - |mu| < |mu|, the product is
+read-only view of that dict.  The content is the factor whose longest
+term has fewer rows; on a tie, a factor of single columns, then the one
+with fewer kernel runs, then the one with the larger largest term, so
+both orders of a pair of classes run the same kernels.  Each pair of a
+content term mu and a term lam of the other factor takes one of three
+routes.  A single column 1^p (sigma_1 included) is one vertical strip:
+its first p - 1 boxes grow row by row, and one walk down the rows below
+the last of them places the last box at every corner.  Any other mu
+first drops the terms whose product with it is zero; then, for mu of
+two or more rows and lam near the top, with e = k(n-k) - |lam| - |mu| < |mu|, the product is
 one Littlewood-Richardson count over the e boxes of the skew shape
 lam^vee / mu (the duality theorem), and otherwise mu is one
 Littlewood-Richardson stage per row, kept while the reverse reading word
 is a lattice word, with partial fillings merged by their shape and the
 shape before the last letter.  A single row is one stage, which is
-Pieri's rule.  In the strip and the stages the bottom row takes every
-box left, with no loop over counts, and every route adds its shapes,
+Pieri's rule.  In the stages the bottom row takes every box left, with
+no loop over counts, and every route adds its shapes,
 scaled by the coefficients, straight into the product's one dict.  The
 route changes only the cost, never the product.  There are no
 signs and no cache, and every product term passes the partition,
@@ -260,48 +265,64 @@ def _vertical_strips(terms, p: int, k: int, width: int, out: dict, scale: int) -
     trimmed tuples mu to summed coefficients; it is `multiply`'s one dict,
     shared by every content term.  A vertical strip puts at most one box
     in each row (mu_i <= lam_i + 1, mu weakly decreasing), and mu stays
-    inside the k x width box.  The full rows take no box; the other rows
-    but the bottom one are filled top down with two choices each: no box,
-    while the rows below can take the boxes left, or one box, while the
-    row stays below the row above.  One box is left for the bottom row,
-    which takes it while it stays below the row above.  Hardly any prefix
-    is a dead end, and every shape emitted still passes through the
-    validating constructors.
+    inside the k x width box.  The first p - 1 boxes grow row by row as
+    partial fillings: the full rows take no box, and each later row has
+    two choices, no box while the rows below can take the boxes left, or
+    one box while the row stays below the row above.  A strip with one
+    box left is finished by one walk down the rows below its last box,
+    which places the box at each corner: the row right under the last box
+    (always a corner, since the box raised the row above it), every later
+    row shorter than the row above it, and the first empty row when it
+    lies in the box.  For p = 1 the kernel is just that walk, from the
+    top row, with the box's top edge as the row above it.  Every shape
+    emitted still passes through the validating constructors.
     """
     get = out.get
-    for lam, c in terms:
-        rows = k if len(lam) + p > k else len(lam) + p
-        base = lam + (0,) * (rows - len(lam))
-        full = base.count(width)
-        if rows - full < p:
-            continue
-        c *= scale
-        partial = [(base[:full], p)]
-        for i in range(full, rows - 1):
-            b = base[i]
-            tail = lam[i + 1:]
-            nxt = []
-            for prefix, left in partial:
-                if left < rows - i:
-                    nxt.append((prefix + (b,), left))
-                if b < (prefix[-1] if i else width):
-                    if left > 1:
-                        nxt.append((prefix + (b + 1,), left - 1))
-                    else:
-                        mu = prefix + (b + 1,) + tail
+    if p == 1:
+        walks = [(lam, 0, width, c * scale) for lam, c in terms]
+    else:
+        walks = []  # (shape with one box left, first row to walk, row above it, coeff)
+        for lam, c in terms:
+            rows = k if len(lam) + p > k else len(lam) + p
+            base = lam + (0,) * (rows - len(lam))
+            full = base.count(width)
+            if rows - full < p:
+                continue
+            c *= scale
+            partial = [(base[:full], p)]
+            # a filling with two or more boxes left fits them only above
+            # the bottom row, so the loop stops one row short of it
+            for i in range(full, rows - 1):
+                b = base[i]
+                nxt = []
+                for prefix, left in partial:
+                    if left < rows - i:
+                        nxt.append((prefix + (b,), left))
+                    if b < (prefix[-1] if i else width):
+                        if left > 2:
+                            nxt.append((prefix + (b + 1,), left - 1))
+                            continue
+                        head, j = prefix + (b + 1,), i + 1
+                        low = base[j]
+                        if j == rows - 1:  # the bottom row has no tail
+                            mu = head + (low + 1,)
+                        else:
+                            mu = head + (low + 1,) + lam[j + 1:]
+                            if low:  # below an empty row j nothing is a corner
+                                walks.append((head + lam[j:], j + 1, low, c))
                         out[mu] = get(mu, 0) + c
-            # never empty: the filling that takes a box in each row from
-            # `full` on (b_full < width, b_(i-1) + 1 > b_i, and p <= rows -
-            # full fits the p - 1 rows) until one box is left, then skips
-            # (1 < rows - i in every loop row), lives through every row
-            partial = nxt
-        # a row is skipped only while the rows below can take the boxes
-        # left, so the bottom row has exactly one box left to place
-        b = base[-1]
-        for prefix, _ in partial:
-            if b < (prefix[-1] if prefix else width):
-                mu = prefix + (b + 1,)
+                partial = nxt
+    for lam, i, above, c in walks:
+        n = len(lam)
+        for j in range(i, n):
+            b = lam[j]
+            if b < above:
+                mu = lam[:j] + (b + 1,) + lam[j + 1:]
                 out[mu] = get(mu, 0) + c
+            above = b
+        if n < k:
+            mu = lam + (1,)
+            out[mu] = get(mu, 0) + c
 
 
 def _lr_stage(states: dict, m: int, k: int, width: int, out: dict | None = None) -> dict:
@@ -427,7 +448,13 @@ def _skew_fillings(outer, inner, k, width, out: dict, scale: int) -> None:
 def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     """Chow ring product by the Littlewood-Richardson rule.
 
-    The content is the factor whose longest term has fewer rows.  Each of
+    The content is the factor whose longest term has fewer rows.  On a
+    tie it is a factor whose terms are all single columns, one strip
+    each; then the factor with fewer kernel runs (a column or a row is
+    one, a term of l other rows l stages), since each content term runs
+    once over every term of the other factor; then the one whose largest
+    term is the larger partition, which fills fewer partial fillings.
+    So s[lam] s[mu] and s[mu] s[lam] run the same kernels.  Each of
     its terms mu, scaled by its coefficient, is applied to every term lam
     of the other factor by one of three routes.  A single column 1^p is
     one vertical strip.  Any other mu drops each lam with some
@@ -453,7 +480,20 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     x._check_context(y)
     ctx = x.context
     k, width = ctx.k, ctx.width
-    if max(map(len, x._terms), default=0) < max(map(len, y._terms), default=0):
+    rows_x, rows_y = max(map(len, x._terms), default=0), max(map(len, y._terms), default=0)
+    if rows_x == rows_y:
+        # the better content has the larger key; equal keys keep y
+        key_x, key_y = [
+            (
+                all(mu[:1] == (1,) for mu in terms),
+                -sum(len(mu) if mu[0] > 1 else 1 for mu in terms if mu),
+                max(terms, default=()),
+            )
+            for terms in (x._terms, y._terms)
+        ]
+        if key_x > key_y:
+            x, y = y, x
+    elif rows_x < rows_y:
         x, y = y, x
     base = list(x._terms.items())
     out = {}

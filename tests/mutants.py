@@ -114,6 +114,15 @@ MUTANTS = (
     ),
     Mutant(
         "grassmann",
+        "walks.append((head + lam[j:], j + 1, low, c))",
+        "walks.append((head + lam[j:], j, low, c))",
+        "a walk that starts at the row right under the last box reads it"
+        " again, where it is no corner (it equals the row above); every"
+        " product stays the same, but the pinned dead ends grow",
+        test="tests/test_partial_fillings.py::test_partial_fillings_are_pinned",
+    ),
+    Mutant(
+        "grassmann",
         "floor = hi - sum(room[j + 1:])",
         "floor = lo",
         "without the floor the letters before the new one may leave it more"
@@ -523,10 +532,9 @@ MUTANTS = (
         "grassmann",
         "range(full, rows - 1)",
         "range(full, rows)",
-        "equivalent: the loop's last row is then the bottom row, where one"
-        " box is left, no skip is allowed and a box ends the strip, so it"
-        " emits what the bottom-row block would and leaves the block no"
-        " filling; the block saves that row's loop work on every strip",
+        "equivalent: a filling in the loop has two or more boxes left and"
+        " at most as many as the rows from its own down, so none reaches"
+        " the bottom row; the extra pass there runs over no filling",
         equivalent=True,
     ),
     Mutant(

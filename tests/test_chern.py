@@ -164,8 +164,11 @@ class TestPairedRearrangement:
         # s1 * s1 is one product before the loop; each factor
         # i(d-i) s1^2 + (d-2i)^2 s11 is one product with one LR stage (its
         # s[2] term, Pieri's row rule) and one vertical strip (its s[1,1]
-        # term); the closing (d/2) s1 is one more vertical strip.
-        # `chern.multiply` is the binding the paired route calls.
+        # term), except the first: it meets d^2 s11, a single column as
+        # long as the factor, so that is the content, one vertical strip
+        # over both of the factor's terms.  The closing (d/2) s1 is one
+        # more vertical strip.  `chern.multiply` is the binding the paired
+        # route calls.
         calls = {}
 
         def count(module, name):
@@ -185,7 +188,7 @@ class TestPairedRearrangement:
             paired_rearrangement(d)
             assert calls == {
                 "multiply": d // 2 + 1,
-                "_lr_stage": d // 2 - 1,
+                "_lr_stage": max(d // 2 - 2, 0),
                 "_vertical_strips": d // 2 + 1,
             }, d
 

@@ -328,6 +328,31 @@ class TestPieriVertical:
                 assert got == {grassmann._conjugate(mu): c for mu, c in via.items()}
 
 
+    def test_kernel_matches_row_subsets(self):
+        # `_vertical_strips` on every lam in G(k, k+w), k, w <= 6, and every
+        # p <= k, against the strips read off their definition: one box in
+        # each of p distinct rows, kept when the shape is a partition in
+        # the box
+        from itertools import combinations
+
+        cases = 0
+        for k in range(1, 7):
+            for w in range(1, 7):
+                for lam in all_box_partitions(k, w):
+                    padded = lam.parts + (0,) * (k - len(lam))
+                    for p in range(1, k + 1):
+                        want = {}
+                        for rows in combinations(range(k), p):
+                            mu = [part + (i in rows) for i, part in enumerate(padded)]
+                            if mu[0] <= w and all(map(operator.ge, mu, mu[1:])):
+                                want[tuple(part for part in mu if part)] = -3
+                        got = {}
+                        grassmann._vertical_strips([(tuple(lam), 1)], p, k, w, got, -3)
+                        assert got == want, (k, w, lam, p)
+                        cases += 1
+        assert cases == 17569, cases
+
+
 class TestMultiply:
     def test_hyperplane_fourth_power(self):
         ctx = RingContext(2, 4)
@@ -440,10 +465,12 @@ class TestProductWork:
     def test_many_row_pair_state_bound(self, monkeypatch):
         # sigma_{nu^c} * sigma_mu with l(mu) = 9 in G(9,18): the Jacobi-Trudi
         # determinant of mu has 9! = 362880 permutation terms, and the LR
-        # rule one stage per row of mu (85 merged states).  The skew shape
-        # lam^vee / mu = nu / mu has e = |nu| - |mu| = 4 < 15 = |mu| boxes,
-        # so the product is one `_skew_fillings` call and no stage; its
-        # rows with boxes merge 1, 2, 4 and 4 states
+        # rule one stage per row of mu (85 merged states).  Both factors
+        # have nine rows, and lam, the larger partition, is the content.
+        # The skew shape mu^vee / lam = mu^vee / nu^vee has
+        # e = |nu| - |mu| = 4 < 77 = |lam| boxes, so the product is one
+        # `_skew_fillings` call and no stage; its rows with boxes merge 1,
+        # 1, 2 and 5 states
         ctx = RingContext(9, 18)
         lam = complement(ctx, Partition([4, 3, 3, 2, 2, 2, 1, 1, 1]))
         mu = Partition([3, 3, 2, 2, 1, 1, 1, 1, 1])
@@ -453,7 +480,7 @@ class TestProductWork:
         with merged:
             prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
         assert (len(stages), len(skews)) == (0, 1)
-        assert merged.sizes == [1, 2, 4, 4]
+        assert merged.sizes == [1, 1, 2, 5]
         assert {sum(nu.parts) for nu in prod.terms} == {sum(lam.parts) + sum(mu.parts)}
         assert all(c > 0 for c in prod.terms.values())
 
@@ -474,6 +501,35 @@ class TestProductWork:
         assert prod.terms == {grassmann._conjugate(nu): c for nu, c in via.terms.items()}
         assert all(c > 0 for c in prod.terms.values())
 
+
+    def test_both_orders_run_the_same_kernels(self, monkeypatch):
+        # every pair of classes in G(k, k+w), k, w <= 4: on a tie in rows
+        # the content is a single column, then the larger partition, so
+        # s[lam] s[mu] and s[mu] s[lam] make the same kernel calls
+        def calls_of(x, y):
+            calls = []
+            for name in ("_vertical_strips", "_lr_stage", "_skew_fillings"):
+                inner = getattr(grassmann, name)
+
+                def wrapper(*args, _name=name, _inner=inner):
+                    calls.append((_name, repr([sorted(a.items(), key=repr) if isinstance(a, dict) else a for a in args])))
+                    return _inner(*args)
+
+                monkeypatch.setattr(grassmann, name, wrapper)
+            multiply(x, y)
+            monkeypatch.undo()
+            return calls
+
+        pairs = 0
+        for k in range(1, 5):
+            for w in range(1, 5):
+                ctx = RingContext(k, k + w)
+                pool = [make_class(ctx, lam) for lam in all_box_partitions(k, w)]
+                for i, x in enumerate(pool):
+                    for y in pool[i + 1:]:
+                        assert calls_of(x, y) == calls_of(y, x), (k, w, x, y)
+                        pairs += 1
+        assert pairs > 4000, pairs
 
     def test_zero_pair_runs_no_stage(self, monkeypatch):
         # in G(8,18), row 2 of one factor and row 7 of the other sum to
@@ -600,10 +656,13 @@ def many_row_pairs(rng, k, count):
 
 
 class TestTransposeSymmetry:
-    def test_many_row_pairs_match_conjugates(self):
+    def test_many_row_pairs_match_conjugates(self, monkeypatch):
         # sigma_lam * sigma_mu in G(k, n) equals sigma_lam' * sigma_mu' in
-        # G(n-k, n) mapped back by conjugation; the conjugates have at most
-        # three rows, so the dual product runs a different expansion
+        # G(n-k, n) mapped back by conjugation.  Each pair lands at most
+        # four boxes below the point class, so both products, in G(k, n)
+        # and in G(n-k, n), take `_skew_fillings`: this compares the skew
+        # kernel with itself on conjugate shapes.  The stages are checked
+        # on the same pairs by the next test
         rng = random.Random(1861)
         checked = 0
         for k in range(6, 10):
@@ -611,12 +670,36 @@ class TestTransposeSymmetry:
             for lam, mu in pairs:
                 dual, lam_t = transpose_dual(ctx, lam)
                 _, mu_t = transpose_dual(ctx, mu)
+                skews = counting(monkeypatch, "_skew_fillings")
+                stages = counting(monkeypatch, "_lr_stage")
                 prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
                 via = multiply(make_class(dual, lam_t), make_class(dual, mu_t))
+                monkeypatch.undo()
+                assert (len(skews), len(stages)) == (2, 0), (k, lam, mu)
                 assert prod.terms
                 assert prod.terms == {grassmann._conjugate(nu): c for nu, c in via.terms.items()}, (k, lam, mu)
                 checked += 1
         assert checked == 12
+
+    def test_many_row_pairs_fill_the_same_dict_by_both_routes(self):
+        # the pairs above and their conjugates, each factor as the content:
+        # `_skew_fillings` and the `_lr_stage` chain, called directly, fill
+        # the same dict, which maps back by conjugation
+        rng = random.Random(1861)
+        checked = 0
+        for k in range(6, 10):
+            ctx, pairs = many_row_pairs(rng, k, 3)
+            for lam, mu in pairs:
+                dual, lam_t = transpose_dual(ctx, lam)
+                _, mu_t = transpose_dual(ctx, mu)
+                for a, b, a_t, b_t in ((lam, mu, lam_t, mu_t), (mu, lam, mu_t, lam_t)):
+                    skew, stages = both_routes(ctx, make_class(ctx, a), b, 3)
+                    skew_t, stages_t = both_routes(dual, make_class(dual, a_t), b_t, 3)
+                    assert skew and skew == stages, (k, a, b)
+                    assert skew_t == stages_t, (k, a_t, b_t)
+                    assert skew == {grassmann._conjugate(nu): c for nu, c in skew_t.items()}, (k, a, b)
+                    checked += 1
+        assert checked == 24
 
 
 class TestIntegrate:
@@ -809,6 +892,15 @@ def stripped_oracle(ctx, lam, mu):
     return ChowElement(ctx, {tuple(p + a + b for p in pad(nu)): c for nu, c in prod.terms.items()})
 
 
+def is_content(lam, mu):
+    """Whether `multiply` takes s[mu], not s[lam], as the content of
+    s[lam] s[mu]: the class of fewer rows; on a tie a single column, then
+    the larger partition, and mu when the two are equal."""
+    if len(lam) != len(mu):
+        return len(mu) < len(lam)
+    return (mu[:1] == (1,), mu) >= (lam[:1] == (1,), lam)
+
+
 def takes_skew_route(ctx, lam, mu):
     """Whether `multiply` sends the pair to `_skew_fillings`: mu of two or
     more rows and not a column, mu inside lam^vee, and
@@ -856,8 +948,8 @@ class TestSkewRoute:
                 pool = all_box_partitions(k, w)
                 for lam in pool:
                     for mu in pool:
-                        if len(mu) > len(lam) or not lam:
-                            continue  # lam is the other factor, not the content
+                        if not is_content(lam, mu) or not lam:
+                            continue  # lam is the content, or the unit
                         skews = counting(monkeypatch, "_skew_fillings")
                         stages = counting(monkeypatch, "_lr_stage")
                         multiply(make_class(ctx, lam), make_class(ctx, mu))
@@ -870,8 +962,10 @@ class TestSkewRoute:
     def test_near_top_pairs_match_oracle(self, monkeypatch):
         # seeded pairs (nu^c, mu) in G(k, n) up to G(8, 16): mu of two or
         # more rows lies inside nu, which has one to four more boxes, so
-        # the skew shape nu / mu has 0 < e < |mu| boxes; kept only where
-        # the oracle's stripped degree is small (G(8, 16) reaches l(mu) = 8
+        # the skew shape nu / mu has 0 < e < |mu| boxes (when nu^c has as
+        # many rows and is the larger partition, it is the content, and
+        # mu^vee / nu^vee has the same e boxes); kept only where the
+        # oracle's stripped degree is small (G(8, 16) reaches l(mu) = 8
         # and |mu| up to 44)
         rng = random.Random(3402)
         checked = 0
@@ -890,9 +984,10 @@ class TestSkewRoute:
                             nu[rng.choice(rows)] += 1
                     lam, mu = complement(ctx, Partition(nu)), Partition(mu)
                     (lam2, a), (mu2, b) = strip_columns(ctx, lam), strip_columns(ctx, mu)
-                    if len(mu) > len(lam) or a + b >= w or sum(lam2) + sum(mu2) > 14 - k:
-                        continue  # mu is not the content, or the oracle's degree is high
-                    if ctx.dim - sum(lam) - sum(mu) == 0 or not takes_skew_route(ctx, lam, mu):
+                    if a + b >= w or sum(lam2) + sum(mu2) > 14 - k:
+                        continue  # the oracle's degree is high
+                    content, other = (mu, lam) if is_content(lam, mu) else (lam, mu)
+                    if ctx.dim - sum(lam) - sum(mu) == 0 or not takes_skew_route(ctx, other, content):
                         continue  # e = 0 gives the point class or zero
                     skews = counting(monkeypatch, "_skew_fillings")
                     prod = multiply(make_class(ctx, lam), make_class(ctx, mu))
@@ -903,4 +998,7 @@ class TestSkewRoute:
                     if found == 4:
                         break
                 checked += found
-        assert checked == 84, checked  # four in each of the 21 boxes
+        # four in each of the 21 boxes but G(2, 5), which has no pair with
+        # 0 < e that takes the skew route: a two-row class there that leaves
+        # e > 0 pairs with 1^2 or a single row, and either is the content
+        assert checked == 80, checked

@@ -6,18 +6,21 @@ boxes left) pair in the first two, and the end columns of a row's
 letters so far in `_skew_fillings`.  A state of `_lr_stage` is a shape
 with the shape before its last letter, so a row's lattice cut is read
 off the state, not the filling; a state of `_skew_fillings` is the
-letter counts with the end columns of the last row.  A looser pruning
-bound only adds fillings that lead nowhere: every product stays the
-same, and only the time grows.  So these tests count the fillings, with
-a `sys.settrace` line counter that lives only here: one execution of
-the first body line of any of a kernel's `for ... in partial:` loops
-(the rows above the bottom one, then the bottom row; the letters below
-the new one, then the new letter) is one filling.  A filling is a dead
-end when its body neither keeps a longer filling (`nxt.append`), nor
-emits a shape (`out[...]`), nor merges a finished row into the next
-row's states (`merged[...]`); every loop must have such a line.  The
-lines are found by their source text, so the counts do not depend on
-line numbers.
+letter counts with the end columns of the last row.  `_vertical_strips`
+grows only the first p - 1 boxes so; its last box is placed by a walk
+down the rows below the box before it (`for j in range(i, n):`), which
+tries the box in each row it reads.  A looser pruning bound, or a walk
+that starts too high, only adds fillings that lead nowhere: every
+product stays the same, and only the time grows.  So these tests count
+the fillings, with a `sys.settrace` line counter that lives only here:
+one execution of the first body line of any of a kernel's `for ... in
+partial:` loops (the rows above the bottom one, then the bottom row;
+the letters below the new one, then the new letter) or of the walk's
+loop is one filling.  A filling is a dead end when its body neither
+keeps a longer filling (`nxt.append`), nor emits a shape (`out[...]`),
+nor merges a finished row into the next row's states (`merged[...]`);
+every loop must have such a line.  The lines are found by their source
+text, so the counts do not depend on line numbers.
 """
 import inspect
 import random
@@ -33,12 +36,16 @@ def _is_code(text):
     return bool(text) and not text.startswith("#")
 
 
+WALK = "for j in range(i, n):"  # the loop of `_vertical_strips` that places the last box
+
+
 def _loop_lines(func):
-    """The first body lines of every `for ... in partial:` loop of `func`,
-    and the body lines that keep or emit a filling; each loop has one."""
+    """The first body lines of every `for ... in partial:` loop of `func`
+    and of its walk, and the body lines that keep or emit a filling; each
+    loop has one."""
     lines, start = inspect.getsourcelines(func)
     text = [line.strip() for line in lines]
-    heads = [i for i, t in enumerate(text) if t.startswith("for ") and t.endswith(" in partial:")]
+    heads = [i for i, t in enumerate(text) if t.startswith("for ") and t.endswith(" in partial:") or t == WALK]
     assert heads, func.__name__
     firsts, productive = set(), set()
     for head in heads:
@@ -132,21 +139,23 @@ def test_partial_fillings_are_pinned():
     with FillingCounter() as counter:
         for x, y in grid():
             multiply(x, y)
-    # each `_lr_stage` pin is the sum of two: the single rows (4614
-    # fillings, 0 dead ends) and the other terms (1494 and 4), which meet
-    # only the terms of the other factor whose product with them is not
-    # zero and that leave the skew shape lam^vee / mu as many boxes as mu
-    # has or more; the others take `_skew_fillings` (941 fillings, 0 dead
-    # ends).  Before the skew route the other terms took 4744 `_lr_stage`
-    # fillings with 24 dead ends (9358 and 24 in all).  A bottom row whose
-    # lattice cut is positive tries no filling: it would need boxes below
-    # the bottom row, so all 18 such fillings were dead ends (9376 and 42
-    # when the bottom row was a loop over counts).  Every kernel has a
-    # second `for ... in partial:` loop, the bottom row or the new letter,
-    # and the counter counts the fillings of every loop
-    assert counter.fillings == {"_vertical_strips": 3684, "_lr_stage": 6108, "_skew_fillings": 941}
-    # a tighter bound may lower these
-    assert counter.dead_ends == {"_vertical_strips": 298, "_lr_stage": 4, "_skew_fillings": 0}
+    # the `_vertical_strips` pin is the sum of three: the first p - 1 boxes
+    # of the columns 1^p with p >= 2 (1362 fillings, 105 dead ends), the
+    # walks that place their last boxes (50 rows read, 24 of them no
+    # corner), and the walks of sigma_1, one per term from the top row
+    # (1865 rows read, 1289 no corner: a row as long as the row above it,
+    # the full rows among them, costs one comparison).  Each `_lr_stage`
+    # pin is the sum of two: the single rows (4576 fillings, 0 dead ends)
+    # and the other terms (1344 and 2), which meet only the terms of the
+    # other factor whose product with them is not zero and that leave the
+    # skew shape lam^vee / mu as many boxes as mu has or more; the others
+    # take `_skew_fillings`.  A bottom row whose lattice cut is positive
+    # tries no filling: it would need boxes below the bottom row.  Every
+    # kernel has a second loop, the walk, the bottom row or the new
+    # letter, and the counter counts the fillings of every loop
+    assert counter.fillings == {"_vertical_strips": 3277, "_lr_stage": 5920, "_skew_fillings": 858}
+    # a tighter bound, or a walk that starts lower, may lower these
+    assert counter.dead_ends == {"_vertical_strips": 1418, "_lr_stage": 2, "_skew_fillings": 0}
 
 
 def test_pieri_row_rule_has_no_dead_end():
@@ -161,13 +170,14 @@ def test_pieri_row_rule_has_no_dead_end():
 
 
 def test_counter_counts_one_filling_per_loop_pass():
-    # sigma_1 on s[2,1] in G(3,6): the strip goes into row 1, 2 or 3, and the
-    # kernel keeps one prefix per row: (), then (2,), then (2, 1)
+    # sigma_1 on s[2,1] in G(3,6): the box goes into row 1, 2 or 3.  The
+    # walk reads rows 1 and 2, both corners (one filling each), and then
+    # places the box in the first empty row, which is no loop pass
     ctx = RingContext(3, 6)
     with FillingCounter() as counter:
         product = multiply(make_class(ctx, (2, 1)), make_class(ctx, (1,)))
     assert set(product._terms) == {(3, 1), (2, 2), (2, 1, 1)}
-    assert counter.fillings == {"_vertical_strips": 3, "_lr_stage": 0, "_skew_fillings": 0}
+    assert counter.fillings == {"_vertical_strips": 2, "_lr_stage": 0, "_skew_fillings": 0}
     assert counter.dead_ends == dict.fromkeys(KERNELS, 0)
 
 
