@@ -5,7 +5,8 @@ command for each epsilon and classification rendering path, one
 refusal (exit 1) per command that checks a library precondition, one
 `info` refusal per catalog gate (argument range, D >= 1, a <= -2), the
 `section-dom` refusal of a missing flag, and the text renders of
-`fano-class` and `section-dom --grid`.
+`fano-class` and `section-dom --grid`, and three `schubert mul` ring
+routes: a near-top many-row pair, in text and JSON, and a column first.
 `tests/golden/schemas.json` pins the `json.dumps` text of every published
 `*_SCHEMA` in `alghyp.schemas`, key order included.
 `tests/golden/work.json` pins, for each golden argv, its Python calls to
@@ -71,8 +72,17 @@ TEXT_RENDERS = (
     ("section-dom", "--grid"),
 )
 
+# ring routes that no other golden argv runs: a near-top many-row pair,
+# one count over its skew shape, and a column given first that ties the
+# other factor in rows, which is still the content
+RING_ROUTES = (
+    ("schubert", "mul", "--k", "8", "--n", "14", "s[5,3,3,3,2,1,1,1]", "s[5,5,4,3,3,2,2,1]"),
+    ("schubert", "mul", "--k", "8", "--n", "14", "s[5,3,3,3,2,1,1,1]", "s[5,5,4,3,3,2,2,1]", "--json"),
+    ("schubert", "mul", "--k", "3", "--n", "7", "s[1,1,1]", "s[3,2,1]"),
+)
 
-ALL_COMMANDS = ACCEPTANCE_COMMANDS + EXTRA_COMMANDS + REFUSALS + TEXT_RENDERS
+
+ALL_COMMANDS = ACCEPTANCE_COMMANDS + EXTRA_COMMANDS + REFUSALS + TEXT_RENDERS + RING_ROUTES
 
 
 @pytest.fixture(scope="module")
