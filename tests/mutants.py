@@ -617,6 +617,32 @@ MUTANTS = (
         equivalent=True,
     ),
     Mutant(
+        "grassmann",
+        "base = lam + (0,) * (rows - len(lam))",
+        "base = lam + (0,) * (rows + len(lam))",
+        "equivalent: the strip reads `base` only at rows below `rows`, and"
+        " the extra zeros change no count of full rows",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "if j == rows - 1:",
+        "if False:",
+        "equivalent: at the bottom row the tail lam[j + 1:] is empty, so the"
+        " shape is the same, and a walk kept there starts at row k = n,"
+        " where it reads no row and k leaves no empty row; the branch only"
+        " spares the paired route's k = 2 strips a slice and a concatenation",
+        equivalent=True,
+    ),
+    Mutant(
+        "grassmann",
+        "elif rows_x < rows_y:",
+        "elif rows_x <= rows_y:",
+        "equivalent: the branch runs only when rows_x != rows_y, where <="
+        " reads as <",
+        equivalent=True,
+    ),
+    Mutant(
         "varieties",
         "(3 + e) // 2",
         "(4 + e) // 2",

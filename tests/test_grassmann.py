@@ -531,6 +531,21 @@ class TestProductWork:
                         pairs += 1
         assert pairs > 4000, pairs
 
+    def test_tie_takes_the_factor_with_fewer_kernel_runs(self, monkeypatch):
+        # in G(3,7), s[1,1,1] + s[2] and s[2,1,1] both have three rows and
+        # neither is all columns; the first is two kernel runs (a strip and
+        # a stage), the second three stages, so the first is the content
+        # in either order
+        ctx = RingContext(3, 7)
+        x = make_class(ctx, (1, 1, 1)) + make_class(ctx, (2,))
+        y = make_class(ctx, (2, 1, 1))
+        for a, b in ((x, y), (y, x)):
+            strips = counting(monkeypatch, "_vertical_strips")
+            stages = counting(monkeypatch, "_lr_stage")
+            multiply(a, b)
+            monkeypatch.undo()
+            assert (len(strips), len(stages)) == (1, 1), (a, b)
+
     def test_zero_pair_runs_no_stage(self, monkeypatch):
         # in G(8,18), row 2 of one factor and row 7 of the other sum to
         # 7 + 4 > 10 = n - k, so the product is zero before any stage runs
