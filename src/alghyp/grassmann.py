@@ -5,8 +5,8 @@ is the one partition validator and yields a trimmed `Partition`, an int
 tuple; `ChowElement` keys its one term dict by them, and `terms` is a
 read-only view of that dict.  The content is the factor whose longest
 term has fewer rows; on a tie, a factor of single columns, then the one
-with fewer kernel runs, then the one with the larger largest term, so
-both orders of a pair of classes run the same kernels.  Each pair of a
+with fewer terms, then the one with the larger largest term, so both
+orders of a pair of classes run the same kernels.  Each pair of a
 content term mu and a term lam of the other factor takes one of three
 routes.  A single column 1^p (sigma_1 included) is one vertical strip:
 its first p - 1 boxes grow row by row, and one walk down the rows below
@@ -449,12 +449,13 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     """Chow ring product by the Littlewood-Richardson rule.
 
     The content is the factor whose longest term has fewer rows.  On a
-    tie it is a factor whose terms are all single columns, one strip
-    each; then the factor with fewer kernel runs (a column or a row is
-    one, a term of l other rows l stages), since each content term runs
-    once over every term of the other factor; then the one whose largest
-    term is the larger partition, which fills fewer partial fillings.
-    So s[lam] s[mu] and s[mu] s[lam] run the same kernels.  Each of
+    tie it is a factor of single columns (its largest term is a column),
+    one strip each; then the factor with fewer terms, which keeps a short
+    sum such as a factor of `chern.paired_rearrangement` the content of
+    its growing product, one strip or stage per term; then the one whose
+    largest term is the larger partition, which costs less in the stages
+    on tied pairs of classes.  Each key reads only the factor's own
+    terms, so s[lam] s[mu] and s[mu] s[lam] run the same kernels.  Each of
     its terms mu, scaled by its coefficient, is applied to every term lam
     of the other factor by one of three routes.  A single column 1^p is
     one vertical strip.  Any other mu drops each lam with some
@@ -483,15 +484,9 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     rows_x, rows_y = max(map(len, x._terms), default=0), max(map(len, y._terms), default=0)
     if rows_x == rows_y:
         # the better content has the larger key; equal keys keep y
-        key_x, key_y = [
-            (
-                all(mu[:1] == (1,) for mu in terms),
-                -sum(len(mu) if mu[0] > 1 else 1 for mu in terms if mu),
-                max(terms, default=()),
-            )
-            for terms in (x._terms, y._terms)
-        ]
-        if key_x > key_y:
+        top_x, top_y = max(x._terms, default=()), max(y._terms, default=())
+        rows_x, rows_y = sum(map(len, x._terms)), sum(map(len, y._terms))
+        if (top_x[:1] == (1,), -rows_x, top_x) > (top_y[:1] == (1,), -rows_y, top_y):
             x, y = y, x
     elif rows_x < rows_y:
         x, y = y, x

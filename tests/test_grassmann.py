@@ -504,8 +504,9 @@ class TestProductWork:
 
     def test_both_orders_run_the_same_kernels(self, monkeypatch):
         # every pair of classes in G(k, k+w), k, w <= 4: on a tie in rows
-        # the content is a single column, then the larger partition, so
-        # s[lam] s[mu] and s[mu] s[lam] make the same kernel calls
+        # the content is a single column, then the larger partition (two
+        # classes of as many rows tie in rows in all), so s[lam] s[mu] and
+        # s[mu] s[lam] make the same kernel calls
         def calls_of(x, y):
             calls = []
             for name in ("_vertical_strips", "_lr_stage", "_skew_fillings"):
@@ -531,14 +532,15 @@ class TestProductWork:
                         pairs += 1
         assert pairs > 4000, pairs
 
-    def test_tie_takes_the_factor_with_fewer_kernel_runs(self, monkeypatch):
-        # in G(3,7), s[1,1,1] + s[2] and s[2,1,1] both have three rows and
-        # neither is all columns; the first is two kernel runs (a strip and
-        # a stage), the second three stages, so the first is the content
-        # in either order
-        ctx = RingContext(3, 7)
-        x = make_class(ctx, (1, 1, 1)) + make_class(ctx, (2,))
-        y = make_class(ctx, (2, 1, 1))
+    def test_tie_takes_the_factor_with_fewer_rows_in_all(self, monkeypatch):
+        # in G(2,8), s[2] + s[1,1] (rows 1 + 2) and s[3,1] + s[2,2] (rows
+        # 2 + 2) tie in rows, neither is all columns, and the second has
+        # the larger largest term; the first, with fewer rows in all, is
+        # the content in either order: one stage and one strip, where the
+        # second would take four stages
+        ctx = RingContext(2, 8)
+        x = make_class(ctx, (2,)) + make_class(ctx, (1, 1))
+        y = make_class(ctx, (3, 1)) + make_class(ctx, (2, 2))
         for a, b in ((x, y), (y, x)):
             strips = counting(monkeypatch, "_vertical_strips")
             stages = counting(monkeypatch, "_lr_stage")
@@ -1010,10 +1012,11 @@ class TestSkewRoute:
                     assert len(skews) == 1
                     assert prod.terms and prod == stripped_oracle(ctx, lam, mu), (k, n, lam, mu)
                     found += 1
-                    if found == 4:
+                    if found == (8 if (k, n) == (3, 11) else 4):
                         break
                 checked += found
         # four in each of the 21 boxes but G(2, 5), which has no pair with
-        # 0 < e that takes the skew route: a two-row class there that leaves
-        # e > 0 pairs with 1^2 or a single row, and either is the content
-        assert checked == 80, checked
+        # 0 < e that takes the skew route (a two-row class there that leaves
+        # e > 0 pairs with 1^2 or a single row, and either is the content),
+        # and four more in G(3, 11)
+        assert checked == 84, checked
