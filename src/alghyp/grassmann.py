@@ -4,9 +4,10 @@ Classes are indexed by partitions inside the k x (n-k) box.  `_checked`
 is the one partition validator and yields a trimmed `Partition`, an int
 tuple; `ChowElement` keys its one term dict by them, and `terms` is a
 read-only view of that dict.  The content is the factor whose longest
-term has fewer rows; on a tie, a factor of single columns, then the one
-with fewer terms, then the one with the larger largest term, so both
-orders of a pair of classes run the same kernels.  Each pair of a
+term has fewer rows.  On a tie with a single class, it is a factor of
+single columns, then the one with the larger largest term, so both
+orders of a pair of classes run the same kernels; two sums that tie keep
+the second factor.  Each pair of a
 content term mu and a term lam of the other factor takes one of three
 routes.  A single column 1^p (sigma_1 included) is one vertical strip:
 its first p - 1 boxes grow row by row, and one walk down the rows below
@@ -449,15 +450,16 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     """Chow ring product by the Littlewood-Richardson rule.
 
     The content is the factor whose longest term has fewer rows.  On a
-    tie it is a factor of single columns (its largest term is a column),
-    one strip each; then the factor with fewer terms, which keeps a short
-    sum such as a factor of `chern.paired_rearrangement` the content of
-    its growing product, one strip or stage per term; then the one whose
-    largest term is the larger partition, which costs less in the stages
-    on tied pairs of classes.  Each key reads only the factor's own
-    terms, so s[lam] s[mu] and s[mu] s[lam] run the same kernels.  Each of
-    its terms mu, scaled by its coefficient, is applied to every term lam
-    of the other factor by one of three routes.  A single column 1^p is
+    tie where one factor is a single class, it is a factor of single
+    columns (its largest term is a column), one strip each, and then the
+    one whose largest term is the larger partition, which costs less in
+    the stages on tied pairs of classes; the key reads only the factor's
+    own terms, so s[lam] s[mu] and s[mu] s[lam] run the same kernels.
+    Two sums that tie keep the second factor, with no pass over their
+    terms: `chern.paired_rearrangement` multiplies its growing product by
+    a two-term factor of a row and a column, which stays the content.
+    Each content term mu, scaled by its coefficient, is applied to every
+    term lam of the other factor by one of three routes.  A single column 1^p is
     one vertical strip.  Any other mu drops each lam with some
     lam_i + mu_(k+1-i) > n-k, that is, with mu not inside lam^vee, whose
     product with it is zero (the duality theorem; Fulton, Young Tableaux,
@@ -482,11 +484,11 @@ def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     ctx = x.context
     k, width = ctx.k, ctx.width
     rows_x, rows_y = max(map(len, x._terms), default=0), max(map(len, y._terms), default=0)
-    if rows_x == rows_y:
-        # the better content has the larger key; equal keys keep y
+    if rows_x == rows_y and 1 in (len(x._terms), len(y._terms)):
+        # one factor is a single class; the better content has the larger
+        # key, and equal keys keep y
         top_x, top_y = max(x._terms, default=()), max(y._terms, default=())
-        rows_x, rows_y = sum(map(len, x._terms)), sum(map(len, y._terms))
-        if (top_x[:1] == (1,), -rows_x, top_x) > (top_y[:1] == (1,), -rows_y, top_y):
+        if (top_x[:1] == (1,), top_x) > (top_y[:1] == (1,), top_y):
             x, y = y, x
     elif rows_x < rows_y:
         x, y = y, x

@@ -99,18 +99,21 @@ MUTANTS = (
         "grassmann",
         "c *= scale",
         "c *= 1",
-        "a column term of the content must scale every strip it adds by"
-        " its coefficient; products with a multiple of s[1] or 1^p differ"
-        " from the oracle",
+        "a column term 1^p, p >= 2, of the content must scale every strip"
+        " it adds by its coefficient (sigma_1 scales its walks where it"
+        " lists them); products with a multiple of 1^p differ from the"
+        " oracle",
     ),
     Mutant(
         "grassmann",
         "if left < rows - i:",
         "if left <= rows - i:",
-        "skipping a row with as many boxes left as the rows below it"
-        " reaches the bottom row with two or more boxes left; that row"
-        " places one box, so it emits shapes a box short that the Schur"
-        " oracle does not have",
+        "skipping a row with as many boxes left as the rows from it down"
+        " keeps a filling that can never place its boxes: each later row"
+        " must then take one, and it still has three left at the last loop"
+        " row, where it dies; every product stays the same, but the pinned"
+        " partial fillings grow",
+        test="tests/test_partial_fillings.py::test_partial_fillings_are_pinned",
     ),
     Mutant(
         "grassmann",
@@ -631,16 +634,18 @@ MUTANTS = (
         "equivalent: at the bottom row the tail lam[j + 1:] is empty, so the"
         " shape is the same, and a walk kept there starts at row k = n,"
         " where it reads no row and k leaves no empty row; the branch only"
-        " spares the paired route's k = 2 strips a slice and a concatenation",
+        " spares the paired route's k = 2 strips a slice, a concatenation"
+        " and a walk (their strips took 1.37 times as long without it)",
         equivalent=True,
     ),
     Mutant(
         "grassmann",
         "elif rows_x < rows_y:",
         "elif rows_x <= rows_y:",
-        "equivalent: the branch runs only when rows_x != rows_y, where <="
-        " reads as <",
-        equivalent=True,
+        "two sums that tie in rows must keep the second factor as the"
+        " content; with <= the first one is, and the row and column"
+        " factor of the paired route's chain would run as four stages",
+        test="tests/test_grassmann.py::TestProductWork::test_two_sums_that_tie_keep_the_second_factor",
     ),
     Mutant(
         "varieties",

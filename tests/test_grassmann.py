@@ -504,9 +504,8 @@ class TestProductWork:
 
     def test_both_orders_run_the_same_kernels(self, monkeypatch):
         # every pair of classes in G(k, k+w), k, w <= 4: on a tie in rows
-        # the content is a single column, then the larger partition (two
-        # classes of as many rows tie in rows in all), so s[lam] s[mu] and
-        # s[mu] s[lam] make the same kernel calls
+        # the content is a single column, then the larger partition, so
+        # s[lam] s[mu] and s[mu] s[lam] make the same kernel calls
         def calls_of(x, y):
             calls = []
             for name in ("_vertical_strips", "_lr_stage", "_skew_fillings"):
@@ -532,21 +531,19 @@ class TestProductWork:
                         pairs += 1
         assert pairs > 4000, pairs
 
-    def test_tie_takes_the_factor_with_fewer_rows_in_all(self, monkeypatch):
-        # in G(2,8), s[2] + s[1,1] (rows 1 + 2) and s[3,1] + s[2,2] (rows
-        # 2 + 2) tie in rows, neither is all columns, and the second has
-        # the larger largest term; the first, with fewer rows in all, is
-        # the content in either order: one stage and one strip, where the
-        # second would take four stages
+    def test_two_sums_that_tie_keep_the_second_factor(self, monkeypatch):
+        # in G(2,8), s[2] + s[1,1] and s[3,1] + s[2,2] tie in rows and
+        # neither is a single class, so the second factor is the content:
+        # one stage and one strip, or four stages the other way round
         ctx = RingContext(2, 8)
         x = make_class(ctx, (2,)) + make_class(ctx, (1, 1))
         y = make_class(ctx, (3, 1)) + make_class(ctx, (2, 2))
-        for a, b in ((x, y), (y, x)):
+        for a, b, runs in ((y, x, (1, 1)), (x, y, (0, 4))):
             strips = counting(monkeypatch, "_vertical_strips")
             stages = counting(monkeypatch, "_lr_stage")
             multiply(a, b)
             monkeypatch.undo()
-            assert (len(strips), len(stages)) == (1, 1), (a, b)
+            assert (len(strips), len(stages)) == runs, (a, b)
 
     def test_zero_pair_runs_no_stage(self, monkeypatch):
         # in G(8,18), row 2 of one factor and row 7 of the other sum to
