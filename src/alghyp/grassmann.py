@@ -7,24 +7,23 @@ read-only view of that dict.  The content is the factor whose longest
 term has fewer rows.  On a tie with a single class, it is a factor of
 single columns, then the one with the larger largest term, so both
 orders of a pair of classes run the same kernels; two sums that tie keep
-the second factor.  Each pair of a
-content term mu and a term lam of the other factor takes one of three
-routes.  A single column 1^p (sigma_1 included) is one vertical strip:
-its first p - 1 boxes grow row by row, and one walk down the rows below
-the last of them places the last box at every corner.  Any other mu
-first drops the terms whose product with it is zero; then, for mu of
-two or more rows and lam near the top, with e = k(n-k) - |lam| - |mu| < |mu|, the product is
-one Littlewood-Richardson count over the e boxes of the skew shape
-lam^vee / mu (the duality theorem), and otherwise mu is one
-Littlewood-Richardson stage per row, kept while the reverse reading word
-is a lattice word, with partial fillings merged by their shape and the
-shape before the last letter.  A single row is one stage, which is
-Pieri's rule.  In the stages the bottom row takes every box left, with
-no loop over counts, and every route adds its shapes,
-scaled by the coefficients, straight into the product's one dict.  The
-route changes only the cost, never the product.  There are no
-signs and no cache, and every product term passes the partition,
-coefficient and box checks of `ChowElement`.  An independent
+the second factor.  Each pair of a content term mu and a term lam of the
+other factor takes one of three routes.  A single column 1^p (sigma_1
+included) is one vertical strip: its first p - 1 boxes grow row by row,
+and one walk down the rows below the last of them places the last box at
+every corner.  Any other mu first drops the terms whose product with it
+is zero; then, for mu of two or more rows and lam near the top, with e =
+k(n-k) - |lam| - |mu| < |mu|, the product is one Littlewood-Richardson
+count over the e boxes of the skew shape lam^vee / mu (the duality
+theorem), and otherwise mu is one Littlewood-Richardson stage per row,
+kept while the reverse reading word is a lattice word, with partial
+fillings merged by their shape and the shape before the last letter.  A
+single row is one stage, which is Pieri's rule.  In the stages the
+bottom row takes every box left, with no loop over counts, and every
+route adds its shapes, scaled by the coefficients, straight into the
+product's one dict.  The route changes only the cost, never the product.
+There are no signs and no cache, and every product term passes the
+partition, coefficient and box checks of `ChowElement`.  An independent
 Schur-polynomial oracle lives in the tests.  All coefficients are Python
 ints; inputs that are not integers are rejected, not truncated.  All
 values are immutable, and every operation is a pure function.

@@ -11,16 +11,18 @@ compiled modules hold (`co_lines` of every code object).  The package is
 first imported under the hook, so its module-level lines count.  It
 prints each line never run as `path:line: source`, with the reason when
 the line is pinned in `UNRUN` below, and exits 1 if an unrun line is not
-pinned, if a pinned text matches no unrun line (it now runs, or is gone),
-or if the suite fails.  Code run only in a subprocess (`python -m alghyp`,
-the mutation tools' copies) counts as unrun.  Line numbers move with every
-edit, so a pin names its module and the line's stripped source text; a
-pin matches every unrun line of that text in the module.  The line sets
+pinned, if a pinned text matches no unrun line (it now runs, or is
+gone), or if the suite fails.  Code run only in a subprocess (`python -m
+alghyp`, the mutation tools' copies) counts as unrun; the subprocesses
+get the same `src` on `PYTHONPATH`.  Line numbers move with every edit,
+so a pin names its module and the line's stripped source text; a pin
+matches every unrun line of that text in the module.  The line sets
 differ a little between Python versions, so CI runs it on one.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 import threading
@@ -36,12 +38,31 @@ class Unrun(NamedTuple):
     reason: str
 
 
-UNRUN = ()
+SUBPROCESS = "runs only in `python -m alghyp`, which tests/test_cli.py starts as a subprocess"
+
+UNRUN = (
+    Unrun("__main__", "import sys", SUBPROCESS),
+    Unrun("__main__", "from .cli import main", SUBPROCESS),
+    Unrun("__main__", "sys.exit(main())", SUBPROCESS),
+    Unrun(
+        "cli",
+        "sys.exit(main())",
+        "the `__main__` guard of cli.py runs only when tests/test_cli.py starts the file as a script",
+    ),
+    Unrun(
+        "chern",
+        'raise AssertionError("top Chern coefficients do not sum to d^(d+1)")',
+        "the guard of `top_chern_sym`, which a correct expansion never trips (its row in"
+        " tests/mutants.py, the test forced to False, is equivalent for that reason)",
+    ),
+)
 
 
 def _code_lines(code) -> set[int]:
-    """The line numbers of a code object and of the code nested in it."""
-    lines = {line for _, _, line in code.co_lines() if line is not None}
+    """The line numbers of a code object and of the code nested in it;
+    line 0, which some versions give a module's first instruction, is no
+    source line."""
+    lines = {line for _, _, line in code.co_lines() if line}
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
             lines |= _code_lines(const)
@@ -74,6 +95,8 @@ def run_suite() -> tuple[int, dict[str, set[int]]]:
         ran.setdefault(name, set()).add(frame.f_lineno)
         return local
 
+    # the suite's subprocesses import the package from the same tree
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     sys.path.insert(0, str(SRC.parent))
     threading.settrace(hook)
     sys.settrace(hook)
